@@ -55,8 +55,9 @@ from repro.core.lowering import LoweredKernel
 from repro.core.schedule import Schedule
 from repro.core.storage import RaggedLayout
 
-#: Bump when the entry payload or fingerprint scheme changes shape.
-AOT_VERSION = 1
+#: Bump when the entry payload, the fingerprint scheme or the emitted
+#: kernel source changes shape (2: destination-passing vector stores).
+AOT_VERSION = 2
 
 
 class Uncacheable(Exception):
@@ -269,15 +270,10 @@ class AOTCache:
     @staticmethod
     def _rebuild(payload: Dict[str, object]) -> Tuple[LoweredKernel,
                                                       GeneratedKernel]:
-        from repro.core.codegen_vector import _gather_slices, _scatter_slices
+        from repro.core.codegen_vector import RUNTIME_HELPERS
         lowered = payload["lowered"]
         source = payload["source"]
-        namespace: Dict[str, object] = {
-            "np": np,
-            "math": math,
-            "_gather_slices": _gather_slices,
-            "_scatter_slices": _scatter_slices,
-        }
+        namespace: Dict[str, object] = {**RUNTIME_HELPERS, "math": math}
         if payload.get("buckets") is not None:
             namespace["_BUCKETS"] = payload["buckets"]
         exec(compile(source, f"<cora-aot:{lowered.name}>", "exec"), namespace)

@@ -9,11 +9,15 @@ emission modes:
   grouped into *buckets* of identical raggedness signature (identical bound
   -table and storage-shape entries, see
   :func:`repro.core.prelude.bucket_by_signature`).  Each bucket executes as
-  one stacked operation -- the ragged slices are gathered into a dense
-  ``(bucket, ...)`` array, inner and reduction loops become broadcast axes
-  or a single ``np.einsum`` (which dispatches matmul-shaped contractions to
-  BLAS, batched over the bucket axis), and the result is scattered back.
-  The remaining Python loop is O(distinct signatures), not O(batch).
+  one stacked operation over ``(bucket, ...)`` input views (zero-copy for
+  a single instance, gathered otherwise); inner and reduction loops become
+  broadcast axes, a batched ``np.matmul`` or one ``np.einsum`` whose path
+  is fixed at codegen time.  Stores are *destination-passing*: the body's
+  top-level operation writes with ``out=`` into the arena slab itself for
+  a single-instance bucket, else into one compact ``(bucket, *bounds)``
+  array that is then scattered, and elementwise operations above it
+  update that destination in place (all-float32 bodies only, so rounding
+  never changes).  The Python loop is O(distinct signatures), not O(batch).
 * **flat fused gather**: a fused governing vloop (``fuse_loops`` of the
   governing cloop with its vloop) executes as a single flat gather over the
   prelude's ``ffo`` / ``ffi`` fusion maps -- no Python loop at all.
@@ -57,6 +61,7 @@ can never go stale) and injected into the kernel namespace as ``_BUCKETS``.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -90,6 +95,8 @@ _NP_INTRINSICS = {
     "tanh": "np.tanh",
     "log": "np.log",
 }
+_NP_BINOPS = {"+": "np.add", "-": "np.subtract", "*": "np.multiply",
+              "/": "np.divide", "max": "np.maximum", "min": "np.minimum"}
 
 
 class VectorizeError(LoweringError):
@@ -101,6 +108,14 @@ class VectorizeError(LoweringError):
 # ---------------------------------------------------------------------------
 
 
+def _slab_view(buf: np.ndarray, row_offsets: np.ndarray, shapes: np.ndarray,
+               i: int) -> np.ndarray:
+    """Governing index ``i``'s storage-padded slab of ``buf``, as a view."""
+    shape = tuple(int(s) for s in shapes[i])
+    start = int(row_offsets[i])
+    return buf[start:start + math.prod(shape)].reshape(shape)
+
+
 def _gather_slices(buf: np.ndarray, row_offsets: np.ndarray,
                    shapes: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Stack the ragged slices at governing indices ``idx``.
@@ -109,14 +124,10 @@ def _gather_slices(buf: np.ndarray, row_offsets: np.ndarray,
     by signature bucketing.  A single-instance bucket returns a zero-copy
     view; larger buckets gather into a dense ``(len(idx), *shape)`` array.
     """
-    shape = tuple(int(s) for s in shapes[idx[0]])
-    size = 1
-    for s in shape:
-        size *= s
     if idx.size == 1:
-        start = int(row_offsets[idx[0]])
-        return buf[start:start + size].reshape((1,) + shape)
-    flat = buf[row_offsets[idx][:, None] + np.arange(size)[None, :]]
+        return _slab_view(buf, row_offsets, shapes, idx[0])[None]
+    shape = tuple(int(s) for s in shapes[idx[0]])
+    flat = buf[row_offsets[idx][:, None] + np.arange(math.prod(shape))[None, :]]
     return flat.reshape((idx.size,) + shape)
 
 
@@ -133,20 +144,37 @@ def _scatter_slices(buf: np.ndarray, row_offsets: np.ndarray,
     strides = [1] * len(shape)
     for i in range(len(shape) - 2, -1, -1):
         strides[i] = strides[i + 1] * shape[i + 1]
-    if idx.size == 1:
-        start = int(row_offsets[idx[0]])
-        size = 1
-        for s in shape:
-            size *= s
-        view = buf[start:start + size].reshape(shape)
-        view[tuple(slice(0, int(b)) for b in bounds)] = values[0]
-        return
     off = row_offsets[idx].reshape((idx.size,) + (1,) * len(bounds))
     for axis, n in enumerate(bounds):
         view = [1] * (len(bounds) + 1)
         view[axis + 1] = int(n)
         off = off + np.arange(int(n)).reshape(view) * strides[axis]
     buf[off] = values
+
+
+def _store_target(buf: np.ndarray, row_offsets: np.ndarray,
+                  shapes: np.ndarray, idx: np.ndarray,
+                  bounds: Tuple[int, ...]) -> np.ndarray:
+    """The array a bucket's store is computed into: the ``[:b1, :b2, ...]``
+    view of a single instance's arena slab, or one compact ``(len(idx),
+    *bounds)`` array for :func:`_store_commit` to scatter."""
+    if idx.size == 1:
+        view = _slab_view(buf, row_offsets, shapes, idx[0])
+        return view[tuple(slice(0, b) for b in bounds)][None]
+    return np.empty((idx.size,) + bounds, dtype=np.float32)
+
+
+def _store_commit(buf: np.ndarray, row_offsets: np.ndarray,
+                  shapes: np.ndarray, idx: np.ndarray,
+                  bounds: Tuple[int, ...], values: np.ndarray) -> None:
+    """Scatter a :func:`_store_target` array unless it is the slab itself."""
+    if idx.size > 1:
+        _scatter_slices(buf, row_offsets, shapes, idx, bounds, values)
+
+
+#: Runtime helpers every generated vector kernel's namespace carries.
+RUNTIME_HELPERS = {"np": np, "_gather_slices": _gather_slices,
+                   "_store_target": _store_target, "_store_commit": _store_commit}
 
 
 def _flatten_product(expr: Expr):
@@ -420,11 +448,7 @@ class VectorCodeGenerator:
 
     def generate(self) -> GeneratedKernel:
         source = self.generate_source()
-        namespace: Dict[str, object] = {
-            "np": np,
-            "_gather_slices": _gather_slices,
-            "_scatter_slices": _scatter_slices,
-        }
+        namespace: Dict[str, object] = dict(RUNTIME_HELPERS)
         if self.mode == "loop":
             namespace["_BUCKETS"] = self._buckets()
         exec(compile(source, f"<cora-vec:{self.kernel.name}>", "exec"), namespace)
@@ -659,12 +683,7 @@ class VectorCodeGenerator:
         em.emit(f"_F = {self.fused_extent}")
         em.emit(f"_ffo = _aux_{self._safe(self.map_name + '_ffo')}")
         em.emit(f"_ffi = _aux_{self._safe(self.map_name + '_ffi')}")
-        for dim in self.inner_dims:
-            em.emit(f"{self._bound_var[dim]} = "
-                    f"{self._vb_code(self._eff_bounds[dim])}")
-        for dim in self.reduce_dims:
-            em.emit(f"{self._bound_var[dim]} = "
-                    f"{self._vb_code(self._red_bounds[dim])}")
+        self._emit_bounds(em)
         # Index arrays double as gather-offset components.
         for dim in self.inner_dims + self.reduce_dims:
             var = "_ix" + self._bound_var[dim][2:]
@@ -704,20 +723,36 @@ class VectorCodeGenerator:
                 var = "_ix" + self._bound_var[dim][2:]
                 em.emit(f"{var} = np.arange({self._bound_var[dim]})")
                 self._index_arrays[dim] = var
+        body = self.kernel.body
+        # Destination-passing needs float32 at every step, so that writing
+        # an intermediate into the float32 store target rounds nothing: no
+        # float64 index values and no constant-only calls or reductions
+        # (NumPy returns those as float64).
+        f32 = self.mode == "loop" and not any(
+            isinstance(e, LoopVar) or (isinstance(e, (BinOp, Call, Reduce))
+                                       and not self._value_dims(e))
+            for e in self._walk_values(body))
+        self._chain = self._dps_chain(body, ctx_out) if f32 else []
         for i, red in enumerate(self.reduces):
-            self._emit_reduce(em, red, self._local(f"_red{i}"), ctx_out)
-        value_code = self._expr_code(self.kernel.body, ctx_out)
-        self._emit_store(em, value_code)
+            if not (self._chain and red is self._chain[-1]):
+                self._emit_reduce(em, red, self._local(f"_red{i}"), ctx_out)
+        self._emit_store(em, body)
+
+    @staticmethod
+    def _emit_call(em: _Emitter, target: str, call: str, out: bool) -> None:
+        """Emit ``call`` (lacking its ``)``) as ``target = call`` or with
+        ``out=target``."""
+        em.emit(f"{call}, out={target})" if out else f"{target} = {call})")
 
     def _emit_reduce(self, em: _Emitter, red: Reduce, temp: str,
-                     ctx_out: Tuple[Dim, ...]) -> None:
+                     ctx_out: Tuple[Dim, ...], out: bool = False) -> None:
         axes = tuple(a.dim for a in red.axes)
         for dim in axes:
             if dim not in self.kernel.reduction_bounds:
                 raise VectorizeError(
                     f"reduction axis {dim.name} has no materialised bound"
                 )
-        if self._try_emit_einsum(em, red, temp, ctx_out, axes):
+        if self._try_emit_einsum(em, red, temp, ctx_out, axes, out):
             return
         ctx_red = ctx_out + axes
         body_code = self._expr_code(red.body, ctx_red)
@@ -727,18 +762,18 @@ class VectorCodeGenerator:
                      else repr(axis_positions))
         # Match the scalar backend's accumulator semantics (including empty
         # reductions): sum starts at ``init``, max at -inf, min at ``init``.
+        call = f"np.broadcast_to({body_code}, {shape})"
         if red.combiner == "sum":
-            em.emit(f"{temp} = np.broadcast_to({body_code}, {shape})"
-                    f".sum(axis={axis_code})")
-            if float(red.init) != 0.0:
-                em.emit(f"{temp} = {temp} + {self._float_code(red.init)}")
+            call += f".sum(axis={axis_code}"
         elif red.combiner == "max":
-            em.emit(f"{temp} = np.broadcast_to({body_code}, {shape})"
-                    f".max(axis={axis_code}, initial=-np.inf)")
+            call += f".max(axis={axis_code}, initial=-np.inf"
         else:
-            em.emit(f"{temp} = np.broadcast_to({body_code}, {shape})"
-                    f".min(axis={axis_code}, "
-                    f"initial={self._float_code(red.init)})")
+            call += (f".min(axis={axis_code}, "
+                     f"initial={self._float_code(red.init)}")
+        self._emit_call(em, temp, call, out)
+        if red.combiner == "sum" and float(red.init) != 0.0:
+            self._emit_call(em, temp, f"np.add({temp}, "
+                            f"{self._float_code(red.init)}", out)
         self._reduce_code[id(red)] = temp
 
     @staticmethod
@@ -749,7 +784,8 @@ class VectorCodeGenerator:
         return repr(value)
 
     def _try_emit_einsum(self, em: _Emitter, red: Reduce, temp: str,
-                         ctx_out: Tuple[Dim, ...], axes: Tuple[Dim, ...]) -> bool:
+                         ctx_out: Tuple[Dim, ...], axes: Tuple[Dim, ...],
+                         out: bool = False) -> bool:
         if red.combiner != "sum":
             return False
         flattened = _flatten_product(red.body)
@@ -778,22 +814,97 @@ class VectorCodeGenerator:
                     f"access dimension {d.name} is neither a loop nor a "
                     "reduction dimension"
                 )
-        subs = ",".join("".join(letters[d] for d in dims)
-                        for dims in operand_dims)
+        subs = ["".join(letters[d] for d in dims) for dims in operand_dims]
         out_dims = [d for d in ctx_out if d in union and d not in axes]
         out_sub = "".join(letters[d] for d in out_dims)
-        operands = ", ".join(code for code, _ in infos)
-        scale = ""
+        codes = [code for code, _ in infos]
+        spec = ",".join(subs) + "->" + out_sub
+        # The contraction is fixed here rather than planned per call: a
+        # batched two-operand contraction over one axis is a matmul (what
+        # ``einsum(optimize=True)`` dispatches it to), a one-operand sum
+        # needs no path at all.
+        k = letters[axes[0]] if len(axes) == 1 else None
+        if len(codes) == 1:
+            call = f"np.einsum({spec!r}, {codes[0]}"
+        elif (len(codes) == 2 and k and len(out_sub) >= 2
+                and subs[0][:-2] == subs[1][:-2] == out_sub[:-2]
+                and subs[0][-2:] == out_sub[-2] + k
+                and subs[1][-2:] in (k + out_sub[-1], out_sub[-1] + k)):
+            rhs = codes[1] if subs[1][-2] == k \
+                else f"{codes[1]}.swapaxes(-1, -2)"
+            call = f"np.matmul({codes[0]}, {rhs}"
+        else:
+            call = f"np.einsum({spec!r}, {', '.join(codes)}, optimize=True"
+        self._emit_call(em, temp, call, out)
         factor = float(np.prod(consts)) if consts else 1.0
         if factor != 1.0:
-            scale = f" * {factor!r}"
-        em.emit(f"{temp} = np.einsum({subs + '->' + out_sub!r}, {operands}, "
-                f"optimize=True){scale}")
+            self._emit_call(em, temp, f"np.multiply({temp}, {factor!r}", out)
         if float(red.init) != 0.0:
-            em.emit(f"{temp} = {temp} + {float(red.init)!r}")
+            self._emit_call(em, temp, f"np.add({temp}, {float(red.init)!r}",
+                            out)
         self._reduce_code[id(red)] = self._aligned_code(temp, tuple(out_dims),
                                                         ctx_out)
         return True
+
+    @staticmethod
+    def _ufunc_of(expr: Expr) -> Tuple[Optional[str], Tuple[Expr, ...]]:
+        """The NumPy ufunc ``expr`` applies and its operands, if any."""
+        if isinstance(expr, BinOp) and expr.op in _NP_BINOPS:
+            return _NP_BINOPS[expr.op], (expr.lhs, expr.rhs)
+        if isinstance(expr, Call) and len(expr.args) == 1:
+            if expr.fn == "relu":
+                return "np.maximum", (Const(0.0), expr.args[0])
+            if expr.fn in _NP_INTRINSICS:
+                return _NP_INTRINSICS[expr.fn], expr.args
+        return None, ()
+
+    def _value_dims(self, expr: Expr) -> set:
+        """The loop dims (and stack axis) the value of ``expr`` varies
+        over; reductions count only their output dims."""
+        if isinstance(expr, TensorAccess):
+            return {self._stack_dim if i.dim is self.gov_dim else i.dim
+                    for i in expr.indices if isinstance(i, LoopVar)}
+        dims = set().union(*(self._value_dims(c) for c in expr.children()))
+        if isinstance(expr, Reduce):
+            dims -= {a.dim for a in expr.axes}
+        return dims
+
+    def _dps_chain(self, body: Expr, ctx: Tuple[Dim, ...]) -> List[Expr]:
+        """``body``, then repeatedly the first operand that is itself a
+        computation spanning every axis of ``ctx``: the innermost link is
+        computed into the store target, each outer one updates it in place.
+        A trailing reduction that cannot write there is dropped (it keeps
+        its temporary)."""
+        chain = [body]
+        while (link := next((a for a in self._ufunc_of(chain[-1])[1]
+                             if isinstance(a, (BinOp, Call, Reduce))
+                             and self._value_dims(a) >= set(ctx)),
+                            None)) is not None:
+            chain.append(link)
+        last = chain[-1]
+        if isinstance(last, Reduce) and (
+                sum(r is last for r in self.reduces) != 1
+                or not self._value_dims(last) >= set(ctx)):
+            chain.pop()
+        return chain
+
+    def _emit_into(self, em: _Emitter, chain: List[Expr], dst: str,
+                   ctx: Tuple[Dim, ...]) -> None:
+        """Emit ``chain`` (see :meth:`_dps_chain`) computed into ``dst``."""
+        inner = None
+        for expr in reversed(chain):
+            ufunc, args = self._ufunc_of(expr)
+            if isinstance(expr, Reduce):
+                self._emit_reduce(em, expr, dst, ctx, out=True)
+            elif ufunc is None:
+                em.emit(f"{dst}[...] = {self._expr_code(expr, ctx)}")
+            else:
+                codes = [dst if a is inner else self._expr_code(a, ctx)
+                         for a in args]
+                em.emit(f"{ufunc}({', '.join(codes)}, out={dst})")
+            inner = expr
+        if not chain:
+            em.emit(f"{dst}[...] = {self._expr_code(self.kernel.body, ctx)}")
 
     # -- expressions -----------------------------------------------------------
 
@@ -810,10 +921,8 @@ class VectorCodeGenerator:
         if isinstance(expr, BinOp):
             lhs = self._expr_code(expr.lhs, ctx)
             rhs = self._expr_code(expr.rhs, ctx)
-            if expr.op == "max":
-                return f"np.maximum({lhs}, {rhs})"
-            if expr.op == "min":
-                return f"np.minimum({lhs}, {rhs})"
+            if expr.op in ("max", "min"):
+                return f"{_NP_BINOPS[expr.op]}({lhs}, {rhs})"
             if expr.op not in ("+", "-", "*", "/"):
                 raise VectorizeError(f"unknown operator {expr.op!r}")
             return f"({lhs} {expr.op} {rhs})"
@@ -960,7 +1069,9 @@ class VectorCodeGenerator:
         for col, idx in enumerate(inner):
             if isinstance(idx, Const):
                 needed = np.asarray([int(idx.value) + 1], dtype=np.int64)
-                self._alias_fit(needed, alias.tables[col], name, col)
+                self._compare_fit(
+                    needed, alias.tables[col], "fused consumer bound exceeds "
+                    f"the producer storage extent of {name!r} axis {col}")
                 subs.append(str(int(idx.value)))
                 continue
             if not isinstance(idx, LoopVar) or idx.dim is self.gov_dim:
@@ -975,7 +1086,9 @@ class VectorCodeGenerator:
                     f"{idx.dim.name}, which is not a vectorized loop"
                 )
             needed = self._vb_of(idx.dim).values(self.kernel)
-            self._alias_fit(needed, alias.tables[col], name, col)
+            self._compare_fit(
+                    needed, alias.tables[col], "fused consumer bound exceeds "
+                    f"the producer storage extent of {name!r} axis {col}")
             if idx.dim in dims:
                 raise VectorizeError(
                     f"fused alias read of {name!r} indexes "
@@ -1000,48 +1113,34 @@ class VectorCodeGenerator:
         if plan is None:
             raise VectorizeError(
                 f"fused alias read of unknown tensor {name!r}")
-        if plan.is_ragged:
-            try:
-                shapes = np.asarray(self.kernel.aux_arrays[plan.shape_name])
-            except KeyError:
-                raise VectorizeError(
-                    f"fused alias read of {name!r} has no consumer shape "
-                    "table to check padding against")
-            if shapes.ndim != 2 or shapes.shape[1] != len(alias.tables):
-                raise VectorizeError(
-                    f"fused alias read of {name!r}: consumer shape table "
-                    f"rank does not match {len(alias.tables)} store axes")
-            for col, avail in enumerate(alias.tables):
-                if not np.array_equal(np.asarray(shapes[:, col]).ravel(),
-                                      np.asarray(avail).ravel()):
-                    raise VectorizeError(
-                        f"fused consumer pads {name!r} axis {col} "
-                        "differently from the producer's storage extents")
-            return
-        dense = tuple(plan.layout.dense_shape()[1:])
-        if len(dense) != len(alias.tables):
-            raise VectorizeError(
-                f"fused alias read of {name!r}: consumer dense rank does "
-                f"not match {len(alias.tables)} store axes")
-        for col, avail in enumerate(alias.tables):
-            if not bool(np.all(np.asarray(avail) == int(dense[col]))):
+        tables = self._padded_tables(plan, len(alias.tables),
+                                     f"fused alias read of {name!r}")
+        for col, (own, avail) in enumerate(zip(tables, alias.tables)):
+            same = (np.array_equal(own, np.asarray(avail).ravel())
+                    if plan.is_ragged else bool(np.all(avail == own[0])))
+            if not same:
                 raise VectorizeError(
                     f"fused consumer pads {name!r} axis {col} differently "
                     "from the producer's storage extents")
 
-    @staticmethod
-    def _alias_fit(needed: np.ndarray, available: np.ndarray,
-                   name: str, col: int) -> None:
-        if needed.size != available.size and 1 in (needed.size, available.size):
-            exceeded = bool(np.any(needed > available))
-        else:
-            n = min(needed.size, available.size) or 1
-            exceeded = bool(np.any(needed[:n] > available[:n]))
-        if exceeded:
-            raise VectorizeError(
-                f"fused consumer bound exceeds the producer storage extent "
-                f"of {name!r} axis {col}"
-            )
+    def _padded_tables(self, plan: TensorPlan, rank: int,
+                       what: str) -> Tuple[np.ndarray, ...]:
+        """Per non-governing axis of ``plan``, its storage-padded extent
+        over every governing index (one entry for a dense tensor)."""
+        if not plan.is_ragged:
+            dense = tuple(plan.layout.dense_shape()[1:])
+            if len(dense) != rank:
+                raise VectorizeError(f"{what}: dense shape {dense} does not "
+                                     f"match {rank} store axes")
+            return tuple(np.asarray([int(n)], dtype=np.int64) for n in dense)
+        try:
+            shapes = np.asarray(self.kernel.aux_arrays[plan.shape_name])
+        except KeyError:
+            raise VectorizeError(f"{what}: no storage shape table")
+        if shapes.ndim != 2 or shapes.shape[1] != rank:
+            raise VectorizeError(f"{what}: shape table rank {shapes.shape} "
+                                 f"does not match {rank} store axes")
+        return tuple(shapes[:, col] for col in range(rank))
 
     def store_bound_tables(self) -> Tuple[np.ndarray, ...]:
         """Per-store-axis *storage-padded* extents -- the shape of this
@@ -1058,25 +1157,8 @@ class VectorCodeGenerator:
             raise VectorizeError(
                 "fused-mode members cannot feed an alias temporary")
         out_plan = self.kernel.output_plan
-        store_rank = len(self.kernel.output_dims) - 1
-        if out_plan.is_ragged:
-            try:
-                shapes = np.asarray(self.kernel.aux_arrays[out_plan.shape_name])
-            except KeyError:
-                raise VectorizeError(
-                    f"output {out_plan.spec.name!r} has no shape table for "
-                    "its alias temporary")
-            if shapes.ndim != 2 or shapes.shape[1] != store_rank:
-                raise VectorizeError(
-                    f"output {out_plan.spec.name!r} shape table rank "
-                    f"{shapes.shape} does not match {store_rank} store axes")
-            return tuple(shapes[:, col] for col in range(store_rank))
-        dense = tuple(out_plan.layout.dense_shape()[1:])
-        if len(dense) != store_rank:
-            raise VectorizeError(
-                f"output {out_plan.spec.name!r} dense shape {dense} does "
-                f"not match {store_rank} store axes")
-        return tuple(np.asarray([int(n)], dtype=np.int64) for n in dense)
+        return self._padded_tables(out_plan, len(self.kernel.output_dims) - 1,
+                                   f"output {out_plan.spec.name!r}")
 
     # -- fused-mode gathers ------------------------------------------------------
 
@@ -1109,8 +1191,9 @@ class VectorCodeGenerator:
                 )
         return self._fused_gather_code(access, plan)
 
-    def _check_fused_col_fits(self, plan: TensorPlan, col: int,
+    def _check_extent_fits(self, plan: TensorPlan, col: int,
                               needed: np.ndarray) -> None:
+        """Reject ``needed`` extents beyond ``plan``'s storage on ``col``."""
         if plan.is_ragged:
             available = np.asarray(
                 self.kernel.aux_arrays[plan.shape_name][:, col],
@@ -1118,7 +1201,10 @@ class VectorCodeGenerator:
         else:
             available = np.asarray([plan.layout.dense_shape()[col]],
                                    dtype=np.int64)
-        self._compare_fit(needed, available, plan, col)
+        self._compare_fit(
+            needed, available, f"loop bound exceeds the storage extent of "
+            f"{plan.spec.name!r} axis {col} (loop padding without matching "
+            "storage padding)")
 
     def _fused_gather_code(self, access: TensorAccess,
                            plan: TensorPlan) -> Tuple[str, Tuple[Dim, ...]]:
@@ -1184,14 +1270,14 @@ class VectorCodeGenerator:
                     const_sum += c * plan.dense_strides[col]
                 continue
             if idx.dim is self.inner_fused_dim:
-                self._check_fused_col_fits(plan, col, self._fused_lengths())
+                self._check_extent_fits(plan, col, self._fused_lengths())
                 code = "_ffi" if stride_code == "1" \
                     else f"(_ffi * {stride_code})"
                 parts.append(self._aligned_code(code, (self._stack_dim,),
                                                 octx_t))
             elif idx.dim is self.gov_dim:
                 m = int(self._fused_lengths().size)
-                self._check_fused_col_fits(
+                self._check_extent_fits(
                     plan, col, np.asarray([m], dtype=np.int64))
                 code = "_ffo" if stride_code == "1" \
                     else f"(_ffo * {stride_code})"
@@ -1230,29 +1316,18 @@ class VectorCodeGenerator:
                 needed = self._vb_of(idx.dim).values(self.kernel)
         else:
             return
-        if plan.is_ragged:
-            available = np.asarray(
-                self.kernel.aux_arrays[plan.shape_name][:, col],
-                dtype=np.int64)
-        else:
-            available = np.asarray([plan.layout.dense_shape()[col]],
-                                   dtype=np.int64)
-        self._compare_fit(needed, available, plan, col)
+        self._check_extent_fits(plan, col, needed)
 
     @staticmethod
     def _compare_fit(needed: np.ndarray, available: np.ndarray,
-                     plan: TensorPlan, col: int) -> None:
+                     message: str) -> None:
         if needed.size != available.size and 1 in (needed.size, available.size):
             exceeded = bool(np.any(needed > available))
         else:
             n = min(needed.size, available.size) or 1
             exceeded = bool(np.any(needed[:n] > available[:n]))
         if exceeded:
-            raise VectorizeError(
-                f"loop bound exceeds the storage extent of "
-                f"{plan.spec.name!r} axis {col} (loop padding without "
-                "matching storage padding)"
-            )
+            raise VectorizeError(message)
 
     # -- alignment --------------------------------------------------------------
 
@@ -1283,39 +1358,27 @@ class VectorCodeGenerator:
 
     # -- store -------------------------------------------------------------------
 
-    def _emit_store(self, em: _Emitter, value_code: str) -> None:
+    def _emit_store(self, em: _Emitter, body: Expr) -> None:
+        ctx_out = self._ctx_out()
         if self.mode == "fused":
-            self._emit_store_fused(em, value_code)
+            self._emit_store_fused(em, self._expr_code(body, ctx_out))
             return
         kernel = self.kernel
         out_plan = kernel.output_plan
         safe = self._safe(out_plan.spec.name)
         store_dims = kernel.output_dims[1:]
-        ctx_out = self._ctx_out()
         for col, dim in enumerate(store_dims):
             # Ragged shape columns exclude the governing axis; a dense
             # output's shape includes it at position 0.
             axis = col if out_plan.is_ragged else col + 1
             self._check_index_fits(out_plan, axis, LoopVar(dim))
         temp = self._alias_out.var if self._alias_out is not None else None
-        if not store_dims:
-            if temp is not None:
-                # Materialized contiguous float32, matching the buffer
-                # assignment downstream consumers would otherwise read back.
-                em.emit(f"{temp} = np.zeros((_nb,), dtype=np.float32)")
-                em.emit(f"{temp}[:] = {value_code}")
-                if self._alias_out.external:
-                    em.emit(f"_nd_{safe}[_bs] = {temp}")
-            else:
-                em.emit(f"_nd_{safe}[_bs] = {value_code}")
-            return
-        val_var = self._local("_val")
-        em.emit(f"{val_var} = np.broadcast_to({value_code}, "
-                f"{self._shape_code(ctx_out)})")
-        perm = [0] + [1 + self.inner_dims.index(d) for d in store_dims]
-        val = val_var
-        if perm != sorted(perm):
-            val = f"{val_var}.transpose({', '.join(map(str, perm))})"
+        external = temp is None or self._alias_out.external
+        bounds = ", ".join(self._bound_var[d] for d in store_dims)
+        region = ", ".join(f":{self._bound_var[d]}" for d in store_dims)
+        slabs = (f"_buf_{safe}, _aux_{self._safe(out_plan.row_name)}, "
+                 f"_aux_{self._safe(out_plan.shape_name)}, _bs, ({bounds},)")
+        dst = self._local("_dst")
         if temp is not None:
             # The temporary replays the scatter/gather round-trip exactly:
             # zero-filled, padded to the storage extents, loop-bounded
@@ -1330,20 +1393,27 @@ class VectorCodeGenerator:
                     str(int(s))
                     for s in out_plan.layout.dense_shape()[1:])
                 em.emit(f"{temp} = np.zeros((_nb, {pad}), dtype=np.float32)")
-            region = ", ".join(f":{self._bound_var[d]}" for d in store_dims)
-            em.emit(f"{temp}[:, {region}] = {val}")
-            if not self._alias_out.external:
-                return
-            val = f"{temp}[:, {region}]"
-        bounds = ", ".join(self._bound_var[d] for d in store_dims)
-        if out_plan.is_ragged:
-            em.emit(f"_scatter_slices(_buf_{safe}, "
-                    f"_aux_{self._safe(out_plan.row_name)}, "
-                    f"_aux_{self._safe(out_plan.shape_name)}, _bs, "
-                    f"({bounds},), {val})")
+        if not external:
+            em.emit(f"{dst} = {temp}[:, {region}]")
+        elif out_plan.is_ragged:
+            em.emit(f"{dst} = _store_target({slabs})")
         else:
-            subs = ", ".join(f":{self._bound_var[d]}" for d in store_dims)
-            em.emit(f"_nd_{safe}[_bs, {subs}] = {val}")
+            em.emit(f"{dst} = np.empty((_nb, {bounds}), dtype=np.float32)")
+        # ``dst`` is in store-axis order; the body computes in loop order.
+        perm = [0] + [1 + self.inner_dims.index(d) for d in store_dims]
+        target = dst
+        if perm != sorted(perm):
+            inverse = ", ".join(str(int(i)) for i in np.argsort(perm))
+            target = f"{dst}.transpose({inverse})"
+        self._emit_into(em, self._chain, target, ctx_out)
+        if not external:
+            return
+        if out_plan.is_ragged:
+            em.emit(f"_store_commit({slabs}, {dst})")
+        else:
+            em.emit(f"_nd_{safe}[_bs, {region}] = {dst}")
+        if temp is not None:
+            em.emit(f"{temp}[:, {region}] = {dst}")
 
     def _emit_store_fused(self, em: _Emitter, value_code: str) -> None:
         kernel = self.kernel
@@ -1367,7 +1437,7 @@ class VectorCodeGenerator:
             em.emit(f"_nd_{safe}[{subs}] = {val}")
             return
         if out_plan.is_ragged:
-            self._check_fused_col_fits(out_plan, 0, self._fused_lengths())
+            self._check_extent_fits(out_plan, 0, self._fused_lengths())
             octx = (self._stack_dim,) + tuple(rest_dims)
             parts = [self._aligned_code(
                 f"_aux_{self._safe(out_plan.row_name)}[_ffo]",
@@ -1387,10 +1457,8 @@ class VectorCodeGenerator:
         # Dense, unfused storage: two adjacent advanced indices land the
         # fused axis at position 0, matching the value's axis order.
         m = int(self._fused_lengths().size)
-        self._compare_fit(np.asarray([m], dtype=np.int64),
-                          np.asarray([out_plan.layout.dense_shape()[0]],
-                                     dtype=np.int64), out_plan, 0)
-        self._check_fused_col_fits(out_plan, 1, self._fused_lengths())
+        self._check_extent_fits(out_plan, 0, np.asarray([m], dtype=np.int64))
+        self._check_extent_fits(out_plan, 1, self._fused_lengths())
         for col, dim in enumerate(rest_dims):
             self._check_index_fits(out_plan, col + 2, LoopVar(dim))
         subs = ", ".join(["_ffo", "_ffi"] + [f":{self._bound_var[d]}"
@@ -1559,12 +1627,7 @@ def generate_fused_kernel(name: str,
     em.pop()
     em.pop()
     source = em.source()
-    namespace: Dict[str, object] = {
-        "np": np,
-        "_gather_slices": _gather_slices,
-        "_scatter_slices": _scatter_slices,
-        "_BUCKETS": buckets,
-    }
+    namespace: Dict[str, object] = {**RUNTIME_HELPERS, "_BUCKETS": buckets}
     exec(compile(source, f"<cora-vfused:{name}>", "exec"), namespace)
     return GeneratedKernel(name=name, source=source,
                            fn=namespace[fn_name], backend="vector")

@@ -137,11 +137,13 @@ class HostNode(ProgramNode):
     for ragged values, a shaped ``ndarray`` view for dense values) backed
     by its planned arena buffer.  With ``fills_output=True`` the function
     promises to overwrite every element of each output, so the dispatcher
-    can skip the pre-zeroing pass.
+    can skip the pre-zeroing pass.  ``flops`` is the step's declared
+    arithmetic per execution (host steps are opaque to the compiler).
     """
 
     fn: Callable = None
     fills_output: bool = True
+    flops: int = 0
 
     @property
     def kind(self) -> str:
@@ -246,6 +248,7 @@ class Program:
                  output_shapes: Optional[Dict[str, Sequence[int]]] = None,
                  fills_output: bool = True,
                  elementwise: Optional[Sequence[str]] = None,
+                 flops: int = 0,
                  ) -> Tuple[str, ...]:
         """Append a host-side step; returns its output value names.
 
@@ -260,6 +263,9 @@ class Program:
         the same element count as each named input, and
         ``fills_output=True`` (a pre-zeroing pass would clobber the
         aliased input before ``fn`` reads it).
+
+        ``flops`` declares the step's arithmetic per execution, counted
+        into :attr:`CompiledProgram.flops`.
         """
         self._check_inputs(name, inputs)
         out_names: List[str] = []
@@ -296,7 +302,8 @@ class Program:
                         f"output has {out_elements}")
         self._add_node(HostNode(
             name=name, inputs=tuple(inputs), outputs=tuple(out_names),
-            fn=fn, fills_output=fills_output, elementwise=elementwise))
+            fn=fn, fills_output=fills_output, elementwise=elementwise,
+            flops=int(flops)))
         return tuple(out_names)
 
     def mark_output(self, *names: str) -> None:

@@ -306,9 +306,12 @@ class CompiledProgram:
 
     @property
     def flops(self) -> int:
-        """Analytically counted FLOPs of all kernel nodes per execution."""
+        """FLOPs per execution: analytically counted for kernel nodes,
+        declared by host nodes (fusion leaves the count unchanged)."""
         return int(sum(k.flops for k in self.kernels.values())
-                   + sum(k.flops for k in self.fused_kernels.values()))
+                   + sum(k.flops for k in self.fused_kernels.values())
+                   + sum(n.flops for n in self.program.nodes
+                         if isinstance(n, HostNode)))
 
     @property
     def arena_bytes(self) -> int:

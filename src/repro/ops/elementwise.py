@@ -8,6 +8,7 @@ the padding-change operators in the transformer pipeline (Figure 3).
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -73,10 +74,10 @@ def add_node(program: "Program", x: str, y: str, name: str = "add",
     def _add(out_mat, a, b):
         np.add(a, b, out=out_mat)
 
+    shape = program.dense_shape_of(x)
     (value,) = program.add_host(
-        name, _add, [x, y],
-        output_shapes={out or name: program.dense_shape_of(x)},
-        fills_output=True, elementwise=(x, y))
+        name, _add, [x, y], output_shapes={out or name: shape},
+        fills_output=True, elementwise=(x, y), flops=math.prod(shape))
     return value
 
 
@@ -91,10 +92,10 @@ def relu_node(program: "Program", x: str, name: str = "relu",
     def _relu(out_mat, a):
         np.maximum(a, 0.0, out=out_mat)
 
+    shape = program.dense_shape_of(x)
     (value,) = program.add_host(
-        name, _relu, [x],
-        output_shapes={out or name: program.dense_shape_of(x)},
-        fills_output=True, elementwise=(x,))
+        name, _relu, [x], output_shapes={out or name: shape},
+        fills_output=True, elementwise=(x,), flops=math.prod(shape))
     return value
 
 

@@ -48,8 +48,8 @@ def layernorm_node(program: "Program", tokens: str, gamma: np.ndarray,
     """Append a packed-token layer normalisation to a program graph.
 
     ``tokens`` names a dense ``(total_tokens, hidden)`` value; gamma/beta
-    become program constants and the host step applies
-    :func:`layernorm_flat` into the planned output buffer.
+    become program constants and the host step computes
+    :func:`layernorm_flat` in place in the planned output buffer.
     """
     g = program.add_constant(f"{name}.gamma",
                              np.asarray(gamma, dtype=np.float32))
@@ -57,12 +57,20 @@ def layernorm_node(program: "Program", tokens: str, gamma: np.ndarray,
                              np.asarray(beta, dtype=np.float32))
 
     def _layernorm(out_mat, toks, g_vec, b_vec):
-        out_mat[...] = layernorm_flat(toks, g_vec, b_vec, eps=eps)
+        # layernorm_flat's operations in its order, each written into the
+        # output buffer in place: bit-identical, with no full temporaries.
+        mean = toks.mean(axis=-1, keepdims=True)
+        var = toks.var(axis=-1, keepdims=True)
+        np.subtract(toks, mean, out=out_mat)
+        np.divide(out_mat, np.sqrt(var + eps), out=out_mat)
+        np.multiply(out_mat, g_vec, out=out_mat)
+        np.add(out_mat, b_vec, out=out_mat)
 
+    shape = program.dense_shape_of(tokens)
     (value,) = program.add_host(
         name, _layernorm, [tokens, g, b],
-        output_shapes={out or name: program.dense_shape_of(tokens)},
-        fills_output=True)
+        output_shapes={out or name: shape}, fills_output=True,
+        flops=int(layernorm_flops(shape[0], shape[-1])))
     return value
 
 

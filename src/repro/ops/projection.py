@@ -90,10 +90,14 @@ def linear_node(program: "Program", tokens: str, weight: np.ndarray,
             out_mat += b_vec
 
     n_tokens = program.dense_shape_of(tokens)[0]
+    in_features, out_features = (int(n) for n in weight.shape)
+    flops = 2 * n_tokens * in_features * out_features
+    if bias is not None:
+        flops += n_tokens * out_features
     (value,) = program.add_host(
         name, _linear, inputs,
-        output_shapes={out or name: (n_tokens, int(weight.shape[1]))},
-        fills_output=True)
+        output_shapes={out or name: (n_tokens, out_features)},
+        fills_output=True, flops=flops)
     return value
 
 

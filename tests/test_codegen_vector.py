@@ -545,7 +545,8 @@ class TestVectorSourceShape:
         compiled = Executor(backend="vector").compile(Schedule(op))
         assert compiled.backend_name == "vector"
         assert "_gather_slices" in compiled.source
-        assert "_scatter_slices" in compiled.source
+        assert "_store_target" in compiled.source
+        assert "_store_commit" in compiled.source
         # One Python loop (over instance buckets), everything else vectorized.
         assert compiled.source.count("for _") == 1
 
@@ -556,3 +557,73 @@ class TestVectorSourceShape:
         compiled = Executor(backend="vector").compile(sch)
         assert compiled.backend_name == "vector"
         assert compiled.source.count("for _") == 0
+
+
+class TestDestinationPassingStores:
+    """Stores compute straight into their destination: the arena slab of
+    a single-instance bucket, or a compact array scattered afterwards."""
+
+    @staticmethod
+    def _qkv(n, seed, heads=2, head_size=16):
+        rng = np.random.default_rng(seed)
+        return [rng.standard_normal((heads, n, head_size)).astype(np.float32)
+                for _ in range(3)]
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_view_and_scatter_paths_byte_identical(self, masked):
+        from repro.ops.attention import _qkt_schedule, sdpa_compiled
+
+        x, y, z = self._qkv(9, 1), self._qkv(4, 2), self._qkv(9, 3)
+        executor = Executor(backend="vector")
+        # Alone, x is a single-instance bucket (view path); beside y and z
+        # it shares the two-instance, non-adjacent bucket {0, 2} with z
+        # (compact array + scatter path).
+        alone = sdpa_compiled(*([t] for t in x), head_size=16,
+                              executor=executor, masked=masked)[0]
+        shared = sdpa_compiled(*zip(x, y, z), head_size=16,
+                               executor=executor, masked=masked)[0]
+        lens = np.array([9, 4, 9], dtype=np.int64)
+        compiled = executor.compile(_qkt_schedule(lens.tobytes(), 2, 16, 0.25))
+        assert compiled.backend_name == "vector"
+        buckets = compiled.generated.fn.__globals__["_BUCKETS"]
+        assert sorted(b.tolist() for b in buckets) == [[0, 2], [1]]
+        assert executor.codegen_stats()["fallbacks"] == 0
+        assert alone.tobytes() == shared.tobytes()
+
+    @pytest.mark.parametrize("kernel", ["qkt", "attnv"])
+    def test_single_instance_store_allocates_no_result(self, kernel):
+        import tracemalloc
+
+        from repro.ops.attention import (
+            _attnv_schedule,
+            _qkt_schedule,
+            _qkv_layout,
+        )
+        from repro.ops.softmax import attention_scores_layout
+
+        n, heads, head_size = 256, 8, 64
+        lens = np.array([n], dtype=np.int64)
+        if kernel == "qkt":
+            schedule = _qkt_schedule(lens.tobytes(), heads, head_size, 0.125)
+            layouts = {"Q": _qkv_layout(lens, heads, head_size),
+                       "K": _qkv_layout(lens, heads, head_size)}
+        else:
+            schedule = _attnv_schedule(lens.tobytes(), heads, head_size)
+            layouts = {"Attn": attention_scores_layout(lens, heads),
+                       "V": _qkv_layout(lens, heads, head_size)}
+        executor = Executor(backend="vector")
+        compiled = executor.compile(schedule)
+        assert compiled.backend_name == "vector"
+        buffers = {name: RaggedTensor.random(layout, seed=i).data
+                   for i, (name, layout) in enumerate(layouts.items())}
+        out = RaggedTensor.zeros(compiled.output_layout).data
+        buffers[compiled.lowered.output_plan.spec.name] = out
+        aux = compiled.lowered.aux_arrays
+        compiled.generated(buffers, aux)  # warm up
+        tracemalloc.start()
+        try:
+            compiled.generated(buffers, aux)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < out.nbytes / 2

@@ -16,6 +16,7 @@ criteria:
 """
 
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -26,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.aotcache import (
+    AOT_VERSION,
     AOTCache,
     Uncacheable,
     kernel_cache_key,
@@ -231,6 +233,31 @@ class TestAOTCache:
         out2 = s2.run(build_encoder_program(LENGTHS, weights, SMALL,
                                             masked=True), {"tokens": tokens})
         assert s2.executor.lower_count > 0  # recompiled, no crash
+        assert s2.executor.disk_cache.misses >= len(entries)
+        for k in out1:
+            assert np.array_equal(np.asarray(out1[k]), np.asarray(out2[k]))
+
+    def test_entries_of_an_older_version_are_misses(self, tmp_path):
+        weights = EncoderWeights.random(SMALL, seed=0)
+        tokens = _tokens(LENGTHS)
+        s1 = Session(backend="vector", disk_cache=str(tmp_path))
+        program = build_encoder_program(LENGTHS, weights, SMALL, masked=True)
+        out1 = s1.run(program, {"tokens": tokens})
+        entries = list(tmp_path.glob("kernels/*/*.pkl"))
+        assert entries
+        for path in entries:
+            # What the previous version stored: its version stamp, and
+            # source calling a store helper this version no longer has.
+            payload = pickle.loads(path.read_bytes())
+            payload["version"] = AOT_VERSION - 1
+            payload["source"] = payload["source"].replace(
+                "_store_commit", "_scatter_slices")
+            path.write_bytes(pickle.dumps(payload))
+        s2 = Session(backend="vector", disk_cache=str(tmp_path))
+        out2 = s2.run(build_encoder_program(LENGTHS, weights, SMALL,
+                                            masked=True), {"tokens": tokens})
+        assert s2.executor.lower_count > 0  # recompiled, no crash
+        assert s2.executor.disk_cache.hits == 0
         assert s2.executor.disk_cache.misses >= len(entries)
         for k in out1:
             assert np.array_equal(np.asarray(out1[k]), np.asarray(out2[k]))

@@ -87,6 +87,21 @@ class TestLayerNorm:
         out = layernorm_slices(hidden, np.ones(16, np.float32), np.zeros(16, np.float32))[0]
         assert np.allclose(out.mean(axis=-1), 0.0, atol=1e-4)
 
+    def test_program_node_bit_identical_to_flat(self):
+        from repro.core.program import Program
+        from repro.core.session import Session
+        from repro.ops.layernorm import layernorm_node
+
+        rng = np.random.default_rng(3)
+        tokens = rng.standard_normal((37, 64)).astype(np.float32)
+        gamma = rng.standard_normal(64).astype(np.float32)
+        beta = rng.standard_normal(64).astype(np.float32)
+        program = Program("ln")
+        x = program.add_input("x", shape=tokens.shape)
+        program.mark_output(layernorm_node(program, x, gamma, beta, out="y"))
+        out = Session(backend="vector").run(program, {"x": tokens})["y"]
+        assert np.array_equal(out, layernorm_flat(tokens, gamma, beta))
+
 
 class TestProjection:
     def test_pack_unpack_roundtrip(self):

@@ -463,6 +463,36 @@ class TestKernelNodeBuilders:
 
 
 # ---------------------------------------------------------------------------
+# FLOP accounting
+# ---------------------------------------------------------------------------
+
+
+class TestProgramFlops:
+    def test_paper_layer_reports_analytic_flops(self):
+        # The packed GEMMs are host nodes: without their declared FLOPs a
+        # paper-config layer reports ~1% of its arithmetic.
+        from repro.analysis.flops import encoder_layer_flops
+        from repro.models.config import PAPER_BASE_CONFIG
+
+        lengths = [5, 17, 32, 64, 100]
+        program = build_encoder_program(
+            lengths, EncoderWeights.random(PAPER_BASE_CONFIG, seed=0),
+            PAPER_BASE_CONFIG)
+        compiled = Session(backend="vector").compile(program)
+        analytic = encoder_layer_flops(lengths, PAPER_BASE_CONFIG)
+        assert compiled.flops == pytest.approx(analytic, rel=0.01)
+
+    def test_host_flops_are_declared_and_survive_fusion(self):
+        weights = EncoderWeights.random(SMALL, seed=0)
+        program = build_encoder_program([5, 3], weights, SMALL)
+        host = sum(n.flops for n in program.nodes if n.kind == "host")
+        assert host > 0
+        unfused = Session(backend="vector").compile(program)
+        fused = Session(backend="vector", fuse=True).compile(program)
+        assert unfused.flops == fused.flops > host
+
+
+# ---------------------------------------------------------------------------
 # Planner-backed memory model
 # ---------------------------------------------------------------------------
 

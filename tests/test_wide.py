@@ -468,7 +468,14 @@ class TestSerialShortcut:
             session.close()
 
     def test_wide_program_uses_pool(self, weights):
+        # The first worker step sleeps while holding its in-flight slot,
+        # so another root step is dispatched before it retires: the
+        # overlap no longer depends on thread timing.
+        injector = FaultInjector()
+        injector.add("pipelined_worker", action="delay", delay_s=0.3,
+                     calls={0})
         engine = PipelinedEngine(max_workers=2)
+        engine.fault_injector = injector
         session = Session(backend="vector", engine=engine)
         groups = [(3, 4), (4,), (2, 2), (5,)]
         try:
@@ -479,6 +486,7 @@ class TestSerialShortcut:
             session.run(wide, bound)
             assert engine.stats()["serial_shortcuts"] == 0
             assert engine._pool is not None
+            assert injector.fires["pipelined_worker"] == 1
             assert engine.stats()["max_inflight"] >= 2
         finally:
             session.close()
