@@ -1,23 +1,21 @@
-"""Wide execution: fused K-request programs across the three engines.
+"""Wide execution: does fusing K request groups into one program pay?
 
-PR 5's honest finding was that the encoder stack is a serial dependence
-chain (``max_inflight`` 1), so ``PipelinedEngine`` pays worker overhead
-and loses to ``SerialEngine`` on every real workload.  This benchmark
-measures the fix: ``merge_programs`` fuses K independent request groups
-into one wide program whose plan has genuine width, and the sweep runs
-the fused K in {1, 2, 4, 8} programs through ``SerialEngine``,
-``PipelinedEngine`` and ``ProcessPoolEngine``, recording requests/sec,
-p50 dispatch latency, achieved ``max_inflight``, and the fused-arena
-footprint against K separate arenas.
+``merge_programs`` fuses K independent request groups into one wide
+program (disjoint subgraphs sharing the weight constants).  One compiled
+run then serves all K groups, so the per-run overheads -- input binding,
+the dispatch loop's entry, output extraction -- are paid once instead of
+K times.  This benchmark measures that on the serial engine: for K in
+{1, 2, 4, 8} it times the *narrow* path (K separate stack-program runs,
+one per group) against the *merged* path (one run of the fused K-group
+program), interleaving the two per repeat so both see the same host
+load, and records requests/sec, the merged-over-narrow speedup (with
+the interquartile ranges), and the fused-arena footprint against K
+separate arenas.  Full runs use paper shape: ``PAPER_BASE_CONFIG`` with
+each group a CoLA batch of 8 (``sample_lengths``).
 
-Whether a pool engine *wins* wall-clock depends on the host: overlap
-needs cores.  The JSON records the host's CPU count and, when the pools
-lose (e.g. on a single-core container), the per-step overhead breakdown
-that explains it -- the honest-finding contract of the wide-execution
-issue.  Bit-identity does not depend on the host and is always asserted
-in ``--smoke``: every fused output must equal the per-request serial
-reference bit for bit, ``max_inflight >= min(K, workers)``, and
-arena(fused K) < K x arena(single).
+``--smoke`` asserts what does not depend on the host: every merged
+output equals the per-group narrow output bit for bit, and
+arena(fused K) < K x arena(single) for K > 1.
 
 Writes ``benchmarks/results/bench_wide.{txt,json}`` and the trajectory
 artifact ``BENCH_wide.json`` at the repo root.
@@ -33,9 +31,9 @@ import time
 
 import numpy as np
 
-from repro.core.engine import PipelinedEngine, ProcessPoolEngine
 from repro.core.session import Session
-from repro.models.config import TransformerConfig
+from repro.data.datasets import sample_lengths
+from repro.models.config import PAPER_BASE_CONFIG, TransformerConfig
 from repro.models.transformer import (
     EncoderWeights,
     encoder_stack_program,
@@ -44,17 +42,22 @@ from repro.models.transformer import (
 
 from harness import format_row, write_json_result, write_result
 
-_WIDTHS = [4, 10, 9, 12, 12, 9, 10, 7]
+_WIDTHS = [4, 11, 11, 11, 11, 9, 8]
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _groups(k: int, per_group: int, config: TransformerConfig, seed: int,
-            low: int, high: int):
+            dataset=None, low: int = 2, high: int = 9):
+    """K request groups: CoLA-sampled lengths when ``dataset`` is given,
+    else uniform in ``[low, high)``; plus their packed random inputs."""
     rng = np.random.default_rng(seed)
     groups, inputs = [], []
-    for _ in range(k):
-        lengths = tuple(int(n) for n in
-                        rng.integers(low, high, size=per_group))
+    for i in range(k):
+        if dataset is None:
+            lengths = rng.integers(low, high, size=per_group)
+        else:
+            lengths = sample_lengths(dataset, per_group, seed=seed * 16 + i)
+        lengths = tuple(int(n) for n in lengths)
         groups.append(lengths)
         inputs.append(np.concatenate(
             [rng.standard_normal((n, config.hidden_size)).astype(np.float32)
@@ -62,13 +65,15 @@ def _groups(k: int, per_group: int, config: TransformerConfig, seed: int,
     return groups, inputs
 
 
-def _p50_ms(fn, repeats: int) -> float:
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        times.append((time.perf_counter() - t0) * 1e3)
-    return float(np.median(times))
+def _elapsed_ms(fn) -> float:
+    t0 = time.perf_counter()
+    fn()
+    return (time.perf_counter() - t0) * 1e3
+
+
+def _quartiles(times):
+    q1, q2, q3 = np.percentile(times, [25, 50, 75])
+    return float(q1), float(q2), float(q3)
 
 
 def run_benchmark(smoke: bool = False) -> dict:
@@ -76,210 +81,91 @@ def run_benchmark(smoke: bool = False) -> dict:
         config = TransformerConfig(hidden_size=16, num_heads=2, head_size=8,
                                    ff_size=32, num_layers=2, loop_pad=4,
                                    bulk_pad=8, attention_tile=8)
-        ks, per_group, repeats, low, high = (1, 2, 4), 2, 5, 2, 9
+        ks, per_group, repeats, dataset = (1, 2, 4), 2, 5, None
     else:
-        config = TransformerConfig(hidden_size=64, num_heads=4, head_size=16,
-                                   ff_size=128, num_layers=2, loop_pad=4,
-                                   bulk_pad=16, attention_tile=8)
-        ks, per_group, repeats, low, high = (1, 2, 4, 8), 3, 10, 8, 32
+        config = PAPER_BASE_CONFIG
+        ks, per_group, repeats, dataset = (1, 2, 4, 8), 8, 21, "CoLA"
     n_layers = 2
-    workers = max(ks)
     weights = EncoderWeights.random(config, seed=2)
+    session = Session(backend="vector", engine="serial")
 
-    serial = Session(backend="vector", engine="serial")
-    pipelined_engine = PipelinedEngine(max_workers=workers)
-    pipelined = Session(backend="vector", engine=pipelined_engine)
-    process_engine = ProcessPoolEngine(max_workers=workers)
-    process = Session(backend="vector", engine=process_engine)
-    process_engine.warm_up()
-    sessions = (("serial", serial), ("pipelined", pipelined),
-                ("process", process))
-
-    rows = [format_row(["K", "engine", "p50 ms", "req/s", "steps",
-                        "us/step", "inflight", "bit-id"], _WIDTHS)]
+    rows = [format_row(["K", "narrow ms", "merged ms", "narrow r/s",
+                        "merged r/s", "speedup", "bit-id"], _WIDTHS)]
     payload = {
         "host": {"cpus": os.cpu_count() or 1},
         "config": {"hidden_size": config.hidden_size, "n_layers": n_layers,
                    "per_group": per_group, "repeats": repeats,
-                   "workers": workers, "smoke": bool(smoke)},
+                   "dataset": dataset,
+                   "engine": "serial", "smoke": bool(smoke)},
         "k_sweep": {},
     }
 
     for k in ks:
         groups, inputs = _groups(k, per_group, config, seed=40 + k,
-                                 low=low, high=high)
-        # per-request serial reference: each group as its own program run
-        refs = []
-        for lengths, packed in zip(groups, inputs):
-            program = encoder_stack_program(lengths, weights, config,
-                                            masked=True, n_layers=n_layers,
-                                            session=serial)
-            refs.append(serial.run(program,
-                                   {"tokens": packed})["out_tokens"])
-
-        entry = {"groups": [list(g) for g in groups], "engines": {}}
-        plan_single = serial.compile(encoder_stack_program(
-            groups[0], weights, config, masked=True, n_layers=n_layers,
-            session=serial)).plan
-        requests = k * per_group
-
-        for engine_name, session in sessions:
-            session.engine.reset_stats()
-            wide = encoder_wide_program(groups, weights, config, masked=True,
+                                 dataset=dataset)
+        narrow = [encoder_stack_program(lengths, weights, config, masked=True,
                                         n_layers=n_layers, session=session)
-            info = wide.merge_info
-            if info is not None:
-                bound = {info.input_name(i, "tokens"): packed
-                         for i, packed in enumerate(inputs)}
-                out_names = [info.output_name(i, "out_tokens")
-                             for i in range(k)]
-            else:  # K == 1: the wide program IS the stack program
-                bound = {"tokens": inputs[0]}
-                out_names = ["out_tokens"]
+                  for lengths in groups]
+        wide = encoder_wide_program(groups, weights, config, masked=True,
+                                    n_layers=n_layers, session=session)
+        info = wide.merge_info
+        if info is not None:
+            bound = {info.input_name(i, "tokens"): packed
+                     for i, packed in enumerate(inputs)}
+            out_names = [info.output_name(i, "out_tokens") for i in range(k)]
+        else:  # K == 1: the wide program IS the stack program
+            bound = {"tokens": inputs[0]}
+            out_names = ["out_tokens"]
 
-            outs = session.run(wide, bound)  # warm: compile + install
-            bit_identical = all(np.array_equal(outs[name], ref)
-                                for name, ref in zip(out_names, refs))
-            p50 = _p50_ms(lambda: session.run(wide, bound,
-                                              copy_outputs=False), repeats)
-            plan = session.compile(wide).plan
-            stats = session.engine.stats()
-            engine_entry = {
-                "p50_dispatch_ms": p50,
-                "requests_per_s": requests / (p50 / 1e3),
-                "bit_identical": bool(bit_identical),
-                "steps": len(plan.order),
-                "dispatches_per_request": len(plan.order) / requests,
-                "us_per_step": p50 * 1e3 / len(plan.order),
-                "max_inflight": stats.get("max_inflight", 1),
-                "plan_max_width": plan.max_width,
-                "arena_bytes_fused": plan.arena_bytes,
-                "arena_bytes_k_singles": k * plan_single.arena_bytes,
-                "engine_stats": stats,
-            }
-            entry["engines"][engine_name] = engine_entry
-            rows.append(format_row(
-                [k, engine_name, p50, engine_entry["requests_per_s"],
-                 len(plan.order), engine_entry["us_per_step"],
-                 engine_entry["max_inflight"],
-                 "yes" if bit_identical else "NO"], _WIDTHS))
-        payload["k_sweep"][str(k)] = entry
+        # Warm both paths (compile), then check bit-identity.
+        refs = [session.run(program, {"tokens": packed})["out_tokens"]
+                for program, packed in zip(narrow, inputs)]
+        outs = session.run(wide, bound)
+        bit_identical = all(np.array_equal(outs[name], ref)
+                            for name, ref in zip(out_names, refs))
 
-    # The honest finding: who wins at K >= 4, and if serial does, the
-    # per-step overhead breakdown that explains it.
-    verdicts = {}
-    for k in ks:
-        if k < 4:
-            continue
-        engines = payload["k_sweep"][str(k)]["engines"]
-        serial_ms = engines["serial"]["p50_dispatch_ms"]
-        verdicts[str(k)] = {
-            name: {
-                "p50_ms": e["p50_dispatch_ms"],
-                "speedup_vs_serial": serial_ms / e["p50_dispatch_ms"],
-                "beats_serial": e["p50_dispatch_ms"] < serial_ms,
-                "overhead_us_per_step_vs_serial": (
-                    e["us_per_step"] - engines["serial"]["us_per_step"]),
-                "max_inflight": e["max_inflight"],
-            }
-            for name, e in engines.items() if name != "serial"
+        def run_narrow():
+            for program, packed in zip(narrow, inputs):
+                session.run(program, {"tokens": packed}, copy_outputs=False)
+
+        def run_merged():
+            session.run(wide, bound, copy_outputs=False)
+
+        # Interleave per repeat, alternating which path goes first.
+        times = {"narrow": [], "merged": []}
+        for it in range(repeats):
+            order = ("narrow", "merged") if it % 2 == 0 \
+                else ("merged", "narrow")
+            for name in order:
+                fn = run_narrow if name == "narrow" else run_merged
+                times[name].append(_elapsed_ms(fn))
+
+        requests = k * per_group
+        nq1, narrow_ms, nq3 = _quartiles(times["narrow"])
+        mq1, merged_ms, mq3 = _quartiles(times["merged"])
+        plan_single = session.compile(narrow[0]).plan
+        plan_wide = session.compile(wide).plan
+        entry = {
+            "groups": [list(g) for g in groups],
+            "bit_identical": bool(bit_identical),
+            "narrow_p50_ms": narrow_ms,
+            "narrow_iqr_ms": nq3 - nq1,
+            "merged_p50_ms": merged_ms,
+            "merged_iqr_ms": mq3 - mq1,
+            "narrow_requests_per_s": requests / (narrow_ms / 1e3),
+            "merged_requests_per_s": requests / (merged_ms / 1e3),
+            "merged_speedup": narrow_ms / merged_ms,
+            "steps_narrow": sum(len(session.compile(p).plan.order)
+                                for p in narrow),
+            "steps_merged": len(plan_wide.order),
+            "arena_bytes_fused": plan_wide.arena_bytes,
+            "arena_bytes_k_singles": k * plan_single.arena_bytes,
         }
-    any_win = any(v["beats_serial"] for per_k in verdicts.values()
-                  for v in per_k.values())
-    payload["finding"] = {
-        "pool_engine_beats_serial_at_k_ge_4": any_win,
-        "verdicts": verdicts,
-        "note": (
-            "pool engine wins at K >= 4" if any_win else
-            f"host has {payload['host']['cpus']} CPU core(s): overlap "
-            "cannot buy wall-clock without parallel hardware, so the "
-            "dispatch overhead per step (IPC + shared-memory copies for "
-            "the process pool, future scheduling for threads) is pure "
-            "loss; the achieved width (max_inflight) shows the fused "
-            "plan exposes the parallelism, the per-step overhead deltas "
-            "quantify its price"),
-    }
-
-    # IPC message-batching A/B: the same widest fused program through a
-    # pool running the pre-batching protocol (one queue message per
-    # step, batch_dispatch=False) vs the batched ready-set dispatch the
-    # sweep above used.  The delta prices the per-message IPC overhead
-    # the batching amortises.
-    k = max(ks)
-    groups, inputs = _groups(k, per_group, config, seed=40 + k,
-                             low=low, high=high)
-    engines_ab = {}
-    for mode in (True, False):
-        eng = ProcessPoolEngine(max_workers=workers, batch_dispatch=mode)
-        sess = Session(backend="vector", engine=eng)
-        eng.warm_up()
-        engines_ab[mode] = (eng, sess)
-    wide_ab = {mode: encoder_wide_program(groups, weights, config,
-                                          masked=True, n_layers=n_layers,
-                                          session=sess)
-               for mode, (eng, sess) in engines_ab.items()}
-    info = wide_ab[True].merge_info
-    if info is not None:
-        bound = {info.input_name(i, "tokens"): packed
-                 for i, packed in enumerate(inputs)}
-        out_names = [info.output_name(i, "out_tokens") for i in range(k)]
-    else:
-        bound = {"tokens": inputs[0]}
-        out_names = ["out_tokens"]
-    refs = []
-    for lengths, packed in zip(groups, inputs):
-        program = encoder_stack_program(lengths, weights, config,
-                                        masked=True, n_layers=n_layers,
-                                        session=serial)
-        refs.append(serial.run(program, {"tokens": packed})["out_tokens"])
-    identical = {}
-    for mode, (eng, sess) in engines_ab.items():
-        outs = sess.run(wide_ab[mode], bound)  # warm: compile + install
-        identical[mode] = all(np.array_equal(outs[name], ref)
-                              for name, ref in zip(out_names, refs))
-    # Interleave A/B per repeat (alternating order) so both protocols
-    # see the same host load and neither benefits from going second.
-    times = {True: [], False: []}
-    for it in range(max(repeats, 5)):
-        order = (True, False) if it % 2 == 0 else (False, True)
-        for mode in order:
-            eng, sess = engines_ab[mode]
-            t0 = time.perf_counter()
-            sess.run(wide_ab[mode], bound, copy_outputs=False)
-            times[mode].append((time.perf_counter() - t0) * 1e3)
-    batched_p50 = float(np.median(times[True]))
-    unbatched_p50 = float(np.median(times[False]))
-    unbatched_identical = identical[True] and identical[False]
-    unbatched_engine, unbatched = engines_ab[False]
-    n_steps = len(unbatched.compile(wide_ab[False]).plan.order)
-    payload["ipc_batching"] = {
-        "k": k,
-        "steps": n_steps,
-        "batched_p50_ms": batched_p50,
-        "unbatched_p50_ms": unbatched_p50,
-        "batched_us_per_step": batched_p50 * 1e3 / n_steps,
-        "unbatched_us_per_step": unbatched_p50 * 1e3 / n_steps,
-        "saved_us_per_step": (unbatched_p50 - batched_p50) * 1e3 / n_steps,
-        "speedup": unbatched_p50 / batched_p50,
-        "bit_identical": bool(unbatched_identical),
-        "note": (
-            "batching collapses a burst of R ready steps into "
-            "ceil(R / max_workers)-step messages per idle worker; the "
-            "saving scales with how often the ready set outruns the "
-            "whole pool, so at modest K (or on a contended host where "
-            "the ready set stays small) the two protocols converge and "
-            "the delta sits inside run noise"),
-    }
-    rows.append("")
-    rows.append(format_row(
-        [k, "process-1msg", unbatched_p50,
-         k * per_group / (unbatched_p50 / 1e3), n_steps,
-         payload["ipc_batching"]["unbatched_us_per_step"],
-         unbatched_engine.stats().get("max_inflight", 1),
-         "yes" if unbatched_identical else "NO"], _WIDTHS))
-    for eng, sess in engines_ab.values():
-        sess.close()
-        eng.close()
+        payload["k_sweep"][str(k)] = entry
+        rows.append(format_row(
+            [k, narrow_ms, merged_ms, entry["narrow_requests_per_s"],
+             entry["merged_requests_per_s"], entry["merged_speedup"],
+             "yes" if bit_identical else "NO"], _WIDTHS))
 
     write_result("bench_wide", rows)
     write_json_result("bench_wide", payload)
@@ -289,45 +175,30 @@ def run_benchmark(smoke: bool = False) -> dict:
         with open(os.path.join(_REPO_ROOT, "BENCH_wide.json"), "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-    for session in (process, pipelined, serial):
-        session.close()
-    process_engine.close()
+    session.close()
     return payload
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
-                        help="reduced problem + assert the wide-execution "
-                             "claims")
+                        help="reduced problem + assert bit-identity and "
+                             "the fused-arena bound")
     args = parser.parse_args(argv)
     payload = run_benchmark(smoke=args.smoke)
     if args.smoke:
-        workers = payload["config"]["workers"]
         for k_str, entry in payload["k_sweep"].items():
             k = int(k_str)
-            for name, e in entry["engines"].items():
-                assert e["bit_identical"], (
-                    f"K={k} {name}: fused output != per-request serial "
-                    "reference")
-            process_stats = entry["engines"]["process"]
-            assert process_stats["max_inflight"] >= min(k, workers), (
-                f"K={k}: process max_inflight "
-                f"{process_stats['max_inflight']} < {min(k, workers)}")
+            assert entry["bit_identical"], (
+                f"K={k}: merged output != per-group narrow output")
             if k > 1:
-                fused = process_stats["arena_bytes_fused"]
-                singles = process_stats["arena_bytes_k_singles"]
+                fused = entry["arena_bytes_fused"]
+                singles = entry["arena_bytes_k_singles"]
                 assert fused < singles, (
                     f"K={k}: fused arena {fused} not below K x single "
                     f"{singles}")
-        assert payload["ipc_batching"]["bit_identical"], (
-            "batch_dispatch=False: fused output != per-request serial "
-            "reference")
-        print("smoke checks passed: fused outputs bit-identical on all "
-              "engines (batched and unbatched dispatch), process "
-              "max_inflight >= min(K, workers), arena(fused K) < K x "
-              "arena(single)")
+        print("smoke checks passed: merged outputs bit-identical to "
+              "narrow runs, arena(fused K) < K x arena(single)")
     return 0
 
 

@@ -142,19 +142,13 @@ def main() -> None:
     print(f"run_stack([program, stage2]) doubles twice (4*A): {quadrupled}")
 
     # ------------------------------------------------------------------ #
-    # 6. Execution engines: HOW the compiled steps run is a pluggable
-    #    strategy.  The default SerialEngine replays the flat dispatch
-    #    loop; the PipelinedEngine dispatches each node over a worker
-    #    pool as soon as its dependence-edge predecessors retire --
-    #    bit-identical by construction, because the plan records every
-    #    data and buffer-reuse edge.
+    # 6. Execution: every compiled step has its buffers bound at compile
+    #    time, so a run is one flat loop over the steps (the session's
+    #    SerialEngine).  Its counters report the runs and the steps it
+    #    dispatched.
     # ------------------------------------------------------------------ #
-    pipelined = Session(backend="vector", engine="pipelined", inplace=True)
-    result2 = pipelined.run(program, {"A": a})[scaled]
-    print("\n--- execution engines --------------------------------------")
-    print(f"pipelined engine matches serial: "
-          f"{np.array_equal(result2.data, result.data)}")
-    print(f"engine stats: {pipelined.stats()['engine']}")
+    print("\n--- execution engine ---------------------------------------")
+    print(f"engine stats: {session.stats()['engine']}")
 
 
 if __name__ == "__main__":

@@ -2,11 +2,10 @@
 
 The in-process kernel cache (:class:`repro.core.executor.Executor`)
 already makes re-compilation free *within* a process, but every fresh
-process -- each CI shard, every :class:`ProcessPoolEngine` worker, every
-cold serving replica -- re-lowers and re-``exec``\\ s every kernel from
-scratch.  CoRa's central premise (raggedness is known *before*
-execution, so compilation can be hoisted out of the hot path entirely)
-extends across processes: for a given (operator, schedule, raggedness
+process -- each CI shard, every cold serving replica -- re-lowers and
+re-``exec``\\ s every kernel from scratch.  CoRa's central premise
+(raggedness is known *before* execution, so compilation can be hoisted
+out of the hot path entirely) extends across processes: for a given (operator, schedule, raggedness
 signature, backend) the lowered kernel and its generated source are
 deterministic, so they can be computed once per machine and reloaded
 from disk forever after.

@@ -2,9 +2,8 @@
 
 The compiled encoder still pays one dispatch per operator with an arena
 round-trip between every producer-consumer pair -- exactly the overhead
-the source paper argues a ragged-tensor compiler should fuse away, and
-the per-step IPC cost that kept the process-pool engine from harvesting
-its width.  :func:`fuse_program` rewrites a :class:`Program` graph so
+the source paper argues a ragged-tensor compiler should fuse away.
+:func:`fuse_program` rewrites a :class:`Program` graph so
 that maximal runs of *consecutive same-kind* nodes (all-kernel or
 all-host, never across merge groups) become single fused nodes:
 
@@ -28,8 +27,8 @@ Fusion never reorders work: regions are contiguous runs of the
 original (topological) node order and members execute in that order
 inside the fused step, so the rewrite is bit-identical by
 construction.  Merge groups (``merge_programs``) are respected as
-region boundaries so a wide K-request program keeps its K independent
-chains and the engines keep their width.
+region boundaries so a wide K-request program keeps its K parts
+disjoint.
 """
 
 from __future__ import annotations
@@ -190,7 +189,7 @@ def fuse_program(program: Program,
     The rewritten program preserves input / constant / surviving-value
     names and the marked outputs, so it is a drop-in execution plan for
     the original -- callers keep addressing the *original* program (the
-    session caches by its uid and engines ship its recipe).
+    session caches by its uid).
     """
     program.validate()
     runs = _fusable_runs(program)
@@ -199,7 +198,6 @@ def fuse_program(program: Program,
         return None, report
 
     fused = Program(program.name)
-    fused.recipe = None  # engines rebuild the original and re-fuse
 
     for spec in program.values.values():
         if spec.role in (ROLE_INPUT, ROLE_CONSTANT):

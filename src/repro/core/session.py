@@ -33,7 +33,6 @@ import numpy as np
 from repro.core.aotcache import AOTCache
 from repro.core.cache import LRUDict
 from repro.core.engine import (
-    ExecutionEngine,
     HOST_STEP,
     KERNEL_STEP,
     SerialEngine,
@@ -78,16 +77,13 @@ class CompiledProgram:
     Holds the compiled kernels, the arena plan (double-buffered by
     default; in-place slab sharing with ``inplace=True``), the allocated
     slabs and a flat list of dispatch steps with every buffer
-    pre-resolved.  *How* the steps run is the
-    :class:`~repro.core.engine.ExecutionEngine`'s job -- ``run`` takes an
-    engine and hands it the steps plus the plan's dependence edges.
+    pre-resolved; ``run`` hands the steps to a
+    :class:`~repro.core.engine.SerialEngine`.
     """
 
     def __init__(self, program: Program, executor: Executor,
                  inplace: bool = False,
-                 fuse: bool = False,
-                 slab_buffers: Optional[Sequence[np.ndarray]] = None,
-                 input_buffers: Optional[Dict[str, np.ndarray]] = None):
+                 fuse: bool = False):
         program.validate()
         self.program = program
         self.executor = executor
@@ -95,11 +91,11 @@ class CompiledProgram:
 
         # 1. Liveness + arena planning.  With ``fuse`` the planner first
         #    collapses fusable regions (:mod:`repro.core.fusion`) and the
-        #    plan -- order, slab assignment, dependence edges -- is the
-        #    *fused* program's; internalised intermediates have no slab at
-        #    all.  Everything below (compilation, buffers, steps) follows
-        #    the planned graph, while ``self.program`` stays the original
-        #    (callers address it; engines ship its recipe).
+        #    plan -- order and slab assignment -- is the *fused*
+        #    program's; internalised intermediates have no slab at all.
+        #    Everything below (compilation, buffers, steps) follows the
+        #    planned graph, while ``self.program`` stays the original
+        #    (callers address it).
         self.plan: ProgramPlan = plan_program(program, inplace=inplace,
                                               fuse=fuse)
         work = self.plan.fused_program \
@@ -149,48 +145,17 @@ class CompiledProgram:
                     self._kernel_layouts[vname] = layout
 
         # 3. Allocate the arena slabs and the persistent input staging
-        #    buffers once; every later run reuses them.  ``slab_buffers``
-        #    / ``input_buffers`` optionally supply caller-owned flat
-        #    arrays instead (the process-pool engine backs them with
-        #    shared memory so workers dispatch into the parent's arena).
-        if slab_buffers is None:
-            self._slabs: List[np.ndarray] = [
-                np.zeros(n, dtype=np.float32)
-                for n in self.plan.slab_elements
-            ]
-        else:
-            slab_buffers = list(slab_buffers)
-            if len(slab_buffers) < len(self.plan.slab_elements):
-                raise ProgramError(
-                    f"plan needs {len(self.plan.slab_elements)} slabs but "
-                    f"only {len(slab_buffers)} buffers were provided")
-            self._slabs = []
-            for i, n in enumerate(self.plan.slab_elements):
-                buf = slab_buffers[i]
-                if buf.dtype != np.float32 or buf.ndim != 1 or buf.size < n:
-                    raise ProgramError(
-                        f"slab buffer {i} must be a flat float32 array of "
-                        f">= {n} elements, got {buf.dtype} {buf.shape}")
-                self._slabs.append(buf[:n])
+        #    buffers once; every later run reuses them.
+        self._slabs: List[np.ndarray] = [
+            np.zeros(n, dtype=np.float32) for n in self.plan.slab_elements
+        ]
         flat: Dict[str, np.ndarray] = {}
         for name, spec in work.values.items():
             if spec.role == ROLE_CONSTANT:
                 flat[name] = np.ascontiguousarray(
                     spec.array, dtype=spec.dtype).reshape(-1)
             elif spec.role == ROLE_INPUT:
-                stage = (input_buffers.get(name)
-                         if input_buffers is not None else None)
-                if stage is None:
-                    stage = np.zeros(spec.num_elements, dtype=spec.dtype)
-                else:
-                    if (stage.size != spec.num_elements
-                            or stage.dtype != np.dtype(spec.dtype)):
-                        raise ProgramError(
-                            f"input buffer {name!r} must be "
-                            f"{spec.num_elements} x {spec.dtype}, got "
-                            f"{stage.size} x {stage.dtype}")
-                    stage = stage.reshape(-1)
-                flat[name] = stage
+                flat[name] = np.zeros(spec.num_elements, dtype=spec.dtype)
             else:
                 if np.dtype(spec.dtype) != np.float32:
                     raise ProgramError(
@@ -348,7 +313,7 @@ class CompiledProgram:
 
     def run(self, inputs: Dict[str, Union[np.ndarray, RaggedTensor]],
             copy_outputs: bool = True,
-            engine: Optional[ExecutionEngine] = None,
+            engine: Optional[SerialEngine] = None,
             fault_injector=None) -> Dict[str, Any]:
         """Execute the program once over bound inputs.
 
@@ -359,10 +324,8 @@ class CompiledProgram:
         bit.  Outputs are returned as copies unless ``copy_outputs`` is
         false (views into the arena, only valid until the next run).
 
-        ``engine`` selects the execution strategy over the pre-resolved
-        steps (defaults to a process-wide :class:`SerialEngine` -- the
-        original flat dispatch loop); any engine respecting the plan's
-        dependence edges produces bit-identical outputs.
+        ``engine`` runs the pre-resolved steps (defaults to a
+        process-wide :class:`SerialEngine`).
         """
         t0 = time.perf_counter()
         for name, stage, dtype in self._input_specs:
@@ -404,8 +367,7 @@ class ShardedProgram:
     Produced by :func:`shard_program`.  ``programs[i]`` is built for
     ``shards[i].lengths``; with ``fused`` set, all shard programs are
     additionally merged into one wide program (disjoint subgraphs sharing
-    weights) so a width-aware engine can run the shards concurrently
-    inside a single dispatch.  Execute through
+    weights) that runs all shards in a single dispatch.  Execute through
     :meth:`Session.run_sharded`, which slices the batch's inputs per
     shard and reassembles outputs in order.
     """
@@ -430,10 +392,7 @@ class ShardedProgram:
 def shard_program(build: Callable[[Tuple[int, ...]], Program],
                   lengths: Sequence[int], n_shards: int, *,
                   fused: bool = False, share: str = "constants",
-                  stagger: Optional[int] = None,
-                  build_fused: Optional[
-                      Callable[[List[Tuple[int, ...]]], Program]] = None,
-                  ) -> ShardedProgram:
+                  stagger: Optional[int] = None) -> ShardedProgram:
     """Shard a batch-parallel program along its governing (batch) dim.
 
     ``build(lengths_tuple)`` must return the program for one raggedness
@@ -448,24 +407,13 @@ def shard_program(build: Callable[[Tuple[int, ...]], Program],
 
     With ``fused=True`` the shard programs are merged via
     :func:`~repro.core.program.merge_programs` (weights shared across
-    shards by array identity) so ``ready_steps`` carries one entry per
-    shard and a pipelined / process-pool engine can overlap them.  Note
-    the merged program only carries a worker-shippable rebuild recipe
-    when the shards share *no* constants (rebuilding separately pickled
-    parts would break cross-shard array identity and diverge from the
-    parent's plan); to run fused shards on a
-    :class:`~repro.core.engine.ProcessPoolEngine`, pass ``build_fused``
-    -- a model-provided wide builder called with all shard length
-    vectors at once (e.g.
-    ``lambda groups: build_encoder_wide_program(groups, w, cfg)``) whose
-    registered rebuild recipe re-shares the weights on the worker side.
+    shards by array identity) into one program that runs every shard in
+    a single dispatch.
     """
     shards = plan_shards(lengths, n_shards)
     programs = [build(s.lengths) for s in shards]
     merged = None
-    if build_fused is not None:
-        merged = build_fused([s.lengths for s in shards])
-    elif fused:
+    if fused:
         if len(programs) == 1:
             merged = programs[0]
         else:
@@ -488,10 +436,9 @@ class Session:
     program_capacity:
         LRU bound on compiled programs kept alive by this session.
     engine:
-        Execution strategy over compiled-program steps: ``"serial"``
-        (default -- the flat dispatch loop), ``"pipelined"`` (dependence-
-        driven worker-pool dispatch overlapping host and kernel nodes),
-        or an :class:`~repro.core.engine.ExecutionEngine` instance.
+        The loop that runs compiled-program steps: ``"serial"`` / ``None``
+        (a fresh :class:`~repro.core.engine.SerialEngine`) or an instance
+        (a subclass may time or trace the steps it dispatches).
     inplace:
         Plan element-wise nodes' outputs into their dying input's arena
         slab instead of double-buffering (bit-identical by construction;
@@ -499,9 +446,8 @@ class Session:
     fault_injector:
         Optional :class:`~repro.serving.faults.FaultInjector` threaded
         through the session's injection points (``"compile"`` on a
-        program-cache miss, ``"run"`` on a compiled program's outputs)
-        and onto the session's engine (``"pipelined_worker"``).  ``None``
-        (default) leaves every path untouched.
+        program-cache miss, ``"run"`` on a compiled program's outputs).
+        ``None`` (default) leaves every path untouched.
     tune:
         Schedule-autotuning mode.  ``None`` (default) runs the
         hand-picked schedules untouched.  ``"load"`` activates a
@@ -527,7 +473,7 @@ class Session:
                  program_capacity: int = 64,
                  prelude_capacity: int = 128,
                  signature_capacity: int = 1024,
-                 engine: Union[str, ExecutionEngine, None] = "serial",
+                 engine: Union[str, SerialEngine, None] = "serial",
                  inplace: bool = False,
                  fuse: bool = False,
                  disk_cache: Union[AOTCache, str, bool, None] = None,
@@ -585,17 +531,10 @@ class Session:
         #: chain-level entry instead of the session default.
         self.tuned_fuse_overrides = 0
         #: the session's execution engine (shared by every compiled
-        #: program run through this session).  An engine passed as an
-        #: *instance* may be shared across sessions, so only engines the
-        #: session constructed itself (from a name / ``None``) are shut
-        #: down by :meth:`close`.
-        self._owns_engine = not isinstance(engine, ExecutionEngine)
-        self.engine: ExecutionEngine = get_engine(engine)
-        #: fault injection for this session's compile/run paths; also
-        #: wired onto the engine so pipelined workers fire their point.
+        #: program run through this session).
+        self.engine: SerialEngine = get_engine(engine)
+        #: fault injection for this session's compile/run paths.
         self.fault_injector = fault_injector
-        if fault_injector is not None:
-            self.engine.fault_injector = fault_injector
         #: whether programs are planned with in-place slab sharing.
         self.inplace = bool(inplace)
         #: whether programs are planned with kernel/host fusion.
@@ -692,11 +631,6 @@ class Session:
         disk_before = self.executor.disk_hits
         compiled = CompiledProgram(program, self.executor,
                                    inplace=self.inplace, fuse=fuse)
-        if self.schedule_db is not None:
-            # Engines that ship programs to worker processes forward this
-            # so workers activate the same tuned-schedule policy before
-            # rebuilding (ProcessPoolEngine._install).
-            compiled.schedule_db_root = str(self.schedule_db.root)
         lowered = self.executor.lower_count - lowers_before
         from_disk = self.executor.disk_hits - disk_before
         aot_warm = lowered == 0 and from_disk > 0
@@ -733,13 +667,11 @@ class Session:
             inputs: Dict[str, Union[np.ndarray, RaggedTensor]],
             copy_outputs: bool = True,
             signature: Optional[Any] = None,
-            engine: Optional[ExecutionEngine] = None) -> Dict[str, Any]:
+            engine: Optional[SerialEngine] = None) -> Dict[str, Any]:
         """Compile (cached) and execute a program over bound inputs
         through the session's execution engine.
 
-        ``engine`` overrides the session's engine for this run only --
-        the serving scheduler uses this to retry a batch on a
-        :class:`SerialEngine` after a pipelined worker failure.
+        ``engine`` overrides the session's engine for this run only.
         """
         compiled = self.compile(program, signature=signature)
         result = compiled.run(inputs, copy_outputs=copy_outputs,
@@ -789,7 +721,7 @@ class Session:
     def run_sharded(self, sharded: ShardedProgram,
                     inputs: Dict[str, Union[np.ndarray, RaggedTensor]],
                     signature: Optional[Any] = None,
-                    engine: Optional[ExecutionEngine] = None
+                    engine: Optional[SerialEngine] = None
                     ) -> Dict[str, np.ndarray]:
         """Execute a :class:`ShardedProgram` and reassemble its outputs.
 
@@ -803,9 +735,8 @@ class Session:
         per-shard arrays as an unsharded run of just those sequences.
 
         Fused sharded programs execute as *one* dispatch of the merged
-        wide program (each shard a disjoint subgraph), which is where a
-        width-aware engine overlaps the shards; unfused ones run the
-        shard programs back to back.
+        wide program (each shard a disjoint subgraph); unfused ones run
+        the shard programs back to back.
         """
         shards = sharded.shards
         total_tokens = sharded.total_tokens
@@ -929,25 +860,12 @@ class Session:
             self.executor.reset()
 
     def close(self) -> None:
-        """Release the engine's worker resources (idempotent).
+        """Deactivate the session's tuned-schedule policy (idempotent).
 
-        A pipelined engine keeps a thread pool alive across runs, and a
-        process-pool engine worker processes plus shared-memory arenas;
-        call this (or use the session as a context manager) when the
-        session is done, so repeatedly constructed sessions do not
-        accumulate idle workers for the process lifetime.  The session
-        remains usable afterwards -- the engine recreates its pool
-        lazily on the next run.  **Ownership rule**: an engine passed in
-        as an *instance* is left alone -- it may be shared across
-        sessions, serving other sessions' in-flight runs -- and closing
-        the session any number of times never touches it; close a shared
-        engine explicitly via ``engine.close()`` when the *owner* is
-        done with it (that call too is idempotent and reuse-safe).  Only
-        engines the session constructed itself (from a name or ``None``)
-        are shut down here.
+        Call this (or use the session as a context manager) when a
+        ``tune=`` session is done, so its policy stops steering the
+        process-global op builders.  The session remains usable.
         """
-        if self._owns_engine:
-            self.engine.close()
         if self._policy is not None:
             deactivate_policy(self._policy)
 

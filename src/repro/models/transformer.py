@@ -32,11 +32,7 @@ import numpy as np
 
 from repro.core.extents import ceil_to
 from repro.core.prelude import PreludeBuilder, bulk_pad_lengths
-from repro.core.program import (
-    Program,
-    merge_programs,
-    register_program_builder,
-)
+from repro.core.program import Program, merge_programs
 from repro.core.session import Session, default_session
 from repro.core.storage import RaggedLayout
 from repro.core.tunespace import TuneParam, TunePoint, TuneSpace, register_tune_op
@@ -582,9 +578,6 @@ def build_encoder_program(
     out_tokens = _append_encoder_layer(program, tokens, weights, lengths,
                                        config, masked)
     program.mark_output(out_tokens)
-    program.recipe = ("builder", "repro.models.transformer", "encoder",
-                      dict(lengths=lengths, weights=weights, config=config,
-                           masked=masked))
     return program
 
 
@@ -654,10 +647,6 @@ def build_encoder_stack_program(
             prefix=f"L{i}.",
             out="out_tokens" if i == last else f"L{i}.out_tokens")
     program.mark_output(value)
-    program.recipe = ("builder", "repro.models.transformer",
-                      "encoder_stack",
-                      dict(lengths=lengths, weights=per_layer, config=config,
-                           masked=masked))
     return program
 
 
@@ -724,16 +713,8 @@ def build_encoder_wide_program(
     ``groups`` is one length vector per request group (or batch shard);
     group ``i`` becomes the disjoint subgraph ``R{i}.`` of the merged
     program, with the weight constants shared across all groups by array
-    identity.  The merged graph has K independent chains, so
-    ``ready_steps`` carries K entries and a width-aware engine
-    (:class:`~repro.core.engine.PipelinedEngine` /
-    :class:`~repro.core.engine.ProcessPoolEngine`) can genuinely overlap
-    the groups -- the graph width PR 5's chain-shaped stacks lacked.
-
-    The program carries an ``encoder_wide`` rebuild recipe that unpickles
-    the weights *once* and shares the one object across every part, so
-    worker processes reconstruct the identical deduplicated graph (a
-    generic part-by-part rebuild would lose cross-part array identity).
+    identity.  One compiled run then serves all K groups, paying the
+    per-run overheads once (see :func:`~repro.core.program.merge_programs`).
     """
     per_layer = _weights_per_layer(weights, n_layers,
                                    default_layers=config.num_layers)
@@ -744,11 +725,7 @@ def build_encoder_wide_program(
              for g in groups]
     if len(parts) == 1:
         return parts[0]
-    merged = merge_programs(parts, share="constants", stagger=stagger)
-    merged.recipe = ("builder", "repro.models.transformer", "encoder_wide",
-                     dict(groups=groups, weights=per_layer, config=config,
-                          masked=masked, stagger=stagger))
-    return merged
+    return merge_programs(parts, share="constants", stagger=stagger)
 
 
 def encoder_wide_program(
@@ -779,11 +756,6 @@ def encoder_wide_program(
         key, lambda: (build_encoder_wide_program(
             groups, per_layer, config, masked, stagger=stagger), per_layer))
     return program
-
-
-register_program_builder("encoder", build_encoder_program)
-register_program_builder("encoder_stack", build_encoder_stack_program)
-register_program_builder("encoder_wide", build_encoder_wide_program)
 
 
 def _encoder_chain_tune_space(**_) -> TuneSpace:

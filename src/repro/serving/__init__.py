@@ -15,7 +15,7 @@ signatures recur.  This package provides the request-side half:
   masked compute for compiled-program reuse, echoing the paper's partial
   padding), runs each batch through :meth:`repro.Session.run` with
   failure isolation (split-and-retry bisection), graceful degradation
-  (op-by-op and serial-engine fallbacks) and deadline enforcement, and
+  (op-by-op fallback) and deadline enforcement, and
   demultiplexes per-request results;
 * :mod:`repro.serving.admission` -- SLO-aware admission control:
   priority classes + earliest-deadline-first batch formation with a

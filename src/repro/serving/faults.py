@@ -14,10 +14,6 @@ or corrupt the value flowing through:
     packed outputs.  ``corrupt`` truncates the output rows so shape
     validation trips; ``raise`` emulates a kernel failure.  The scheduler
     recovers by bisecting the batch to isolate the poison request.
-``"pipelined_worker"``
-    Inside a :class:`~repro.core.engine.PipelinedEngine` worker, before a
-    step dispatches.  The scheduler retries the batch once on a
-    :class:`~repro.core.engine.SerialEngine`.
 ``"demux"``
     The scheduler's demultiplexing path (including the
     ``overlap_demux`` background worker), fired on the packed output
@@ -52,8 +48,7 @@ from repro.core.errors import ExecutionError
 #: fires inside the scheduler's admission-policy selection round, so the
 #: FIFO-fallback path of a faulty policy is testable like every other
 #: recovery path.
-INJECTION_POINTS = ("compile", "run", "pipelined_worker", "process_worker",
-                    "demux", "admission")
+INJECTION_POINTS = ("compile", "run", "demux", "admission")
 
 #: What a firing fault does to the call it interrupts.
 FAULT_ACTIONS = ("raise", "delay", "corrupt")
@@ -122,11 +117,11 @@ def _corrupt(payload: Any) -> Any:
 class FaultInjector:
     """A seeded, deterministic fault schedule over named injection points.
 
-    Thread-safe: ``fire`` is called from the main scheduling thread, from
-    pipelined-engine workers and from the overlap-demux worker; all
-    counters are guarded by one lock.  The seeded generator is only
-    consulted by probability faults, so call-indexed and request-matched
-    faults are deterministic regardless of threading.
+    Thread-safe: ``fire`` is called from the main scheduling thread and
+    from the overlap-demux worker; all counters are guarded by one lock.
+    The seeded generator is only consulted by probability faults, so
+    call-indexed and request-matched faults are deterministic regardless
+    of threading.
     """
 
     def __init__(self, seed: int = 0, enabled: bool = True):

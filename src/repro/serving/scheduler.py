@@ -18,26 +18,21 @@ feeds those live hit-rate / padding-overhead statistics back into
 ``bucket_tolerance`` (power-of-two steps, masked-only above 1, so the
 padding stays exact and bucket merging stays monotone).
 
-Batches execute through the session's pluggable
-:class:`~repro.core.engine.ExecutionEngine` (construct the session with
-``engine="pipelined"`` to overlap host and kernel nodes *within* a
-batch), and with ``overlap_demux=True`` the scheduler additionally
-pipelines *across* batches: the demultiplexing of batch ``k``'s outputs
-into per-request rows runs on a background worker while the main thread
-already executes batch ``k + 1``.
+Batches execute through the session's
+:class:`~repro.core.engine.SerialEngine`, and with ``overlap_demux=True``
+the scheduler pipelines *across* batches: the demultiplexing of batch
+``k``'s outputs into per-request rows runs on a background worker while
+the main thread already executes batch ``k + 1``.
 
-With ``wide_batches=K > 1`` the scheduler additionally dispatches
-*wide*: each scheduling step pops up to ``K`` signature-canonical
-sub-batches and fuses them into one
-:func:`~repro.core.program.merge_programs`-merged program whose ``K``
-disjoint subgraphs share the weight constants, so a width-capable
-engine (:class:`~repro.core.engine.PipelinedEngine`,
-:class:`~repro.core.engine.ProcessPoolEngine`) sees genuine inter-batch
-parallelism in ``ready_steps`` instead of one serial chain.  Outputs
-demultiplex per sub-batch (``R{i}.out_tokens``) and then per request,
-exactly as narrow dispatch does; a wide execution failure falls back to
-the per-batch recovery ladder below (``wide_fallbacks`` counts these),
-so fault semantics are unchanged.
+With ``wide_batches=K > 1`` the scheduler dispatches *wide*: each
+scheduling step pops up to ``K`` signature-canonical sub-batches and
+fuses them into one :func:`~repro.core.program.merge_programs`-merged
+program whose ``K`` disjoint subgraphs share the weight constants, so
+one compiled run serves ``K`` sub-batches.  Outputs demultiplex per
+sub-batch (``R{i}.out_tokens``) and then per request, exactly as narrow
+dispatch does; a wide execution failure falls back to the per-batch
+recovery ladder below (``wide_fallbacks`` counts these), so fault
+semantics are unchanged.
 
 Bucketing trades compute for reuse exactly like the paper's partial
 padding: a tolerance ``t`` pads each sequence with at most ``t - 1``
@@ -65,9 +60,7 @@ order:
 3. **Graceful degradation.**  A compile failure
    (:class:`~repro.core.errors.CompileError` / lowering errors) for a
    batch's signature falls back to the retained op-by-op execution path
-   (bit-identical when it uses the same codegen backend); a pipelined
-   engine failure retries the batch once on a
-   :class:`~repro.core.engine.SerialEngine`.
+   (bit-identical when it uses the same codegen backend).
 4. **Failure isolation.**  A batch that still raises is *bisected*:
    split-and-retry halves isolate the poison request, healthy rows
    re-run (and complete), and the poison request -- after its retry
@@ -95,7 +88,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, \
 
 import numpy as np
 
-from repro.core.engine import PipelinedEngine, ProcessPoolEngine, SerialEngine
 from repro.core.errors import (
     CompileError,
     DeadlineExceeded,
@@ -211,10 +203,9 @@ class BatchScheduler:
     wide_batches:
         Fuse up to this many sub-batches into one merged wide program
         per dispatch (``1``, the default, keeps the narrow per-batch
-        dispatch path byte for byte).  Values above 1 only pay off on a
-        width-capable engine; outputs stay bit-identical to narrow
-        dispatch either way, and any wide failure falls back to
-        per-batch execution with the full recovery ladder.
+        dispatch path byte for byte).  Outputs stay bit-identical to
+        narrow dispatch, and any wide failure falls back to per-batch
+        execution with the full recovery ladder.
     queue_capacity:
         Bound on pending requests; ``None`` (default) is unbounded.
     shed_policy:
@@ -382,8 +373,6 @@ class BatchScheduler:
         self._service_ewma: Optional[float] = None
         #: lazily created single-worker pool for overlapped demultiplexing
         self._demux_pool = None
-        #: lazily created serial engine for pipelined-failure retries
-        self._serial_fallback: Optional[SerialEngine] = None
 
         self.queue = RequestQueue(capacity=queue_capacity,
                                   shed_policy=shed_policy, clock=clock)
@@ -403,7 +392,6 @@ class BatchScheduler:
         self.retries = 0
         self.isolation_runs = 0
         self.degraded_batches = 0
-        self.engine_fallbacks = 0
         self.demux_recoveries = 0
         #: wide-dispatch counters (see ``stats``)
         self.wide_dispatches = 0
@@ -614,10 +602,10 @@ class BatchScheduler:
             batches.append(batch)
         return batches
 
-    def _run_program(self, batch: ScheduledBatch, copy_outputs: bool,
-                     engine=None) -> np.ndarray:
-        """Execute one batch's program through the session (and hence its
-        execution engine); returns the packed output token matrix."""
+    def _run_program(self, batch: ScheduledBatch,
+                     copy_outputs: bool) -> np.ndarray:
+        """Execute one batch's program through the session; returns the
+        packed output token matrix."""
         program = encoder_stack_program(
             batch.padded_lengths, self.weights, self.config,
             masked=self.masked, n_layers=self.n_layers, session=self.session)
@@ -631,8 +619,7 @@ class BatchScheduler:
             batch.padded_inputs(self.config.hidden_size), axis=0)
         return self.session.run(program, {"tokens": packed},
                                 copy_outputs=copy_outputs,
-                                signature=batch.signature,
-                                engine=engine)["out_tokens"]
+                                signature=batch.signature)["out_tokens"]
 
     def _run_opbyop(self, batch: ScheduledBatch) -> np.ndarray:
         """The degraded execution path: op-by-op, one dispatch per
@@ -663,15 +650,14 @@ class BatchScheduler:
                 f"{expected}; treating the batch as failed (corrupted "
                 "output)")
 
-    def _execute(self, batch: ScheduledBatch, copy_outputs: bool,
-                 engine=None) -> np.ndarray:
+    def _execute(self, batch: ScheduledBatch,
+                 copy_outputs: bool) -> np.ndarray:
         """One batch execution attempt, with graceful degradation.
 
         Compile-path errors degrade to the op-by-op path
-        (``degraded_batches``); a pipelined-engine failure retries once
-        on a serial engine (``engine_fallbacks``).  Anything else (a
-        poison request, a corrupted output) propagates to the caller,
-        which isolates it via bisection.
+        (``degraded_batches``).  Anything else (a poison request, a
+        corrupted output) propagates to the caller, which isolates it
+        via bisection.
         """
         injector = self._injector()
         if injector is not None:
@@ -681,30 +667,10 @@ class BatchScheduler:
         for request in batch.requests:
             request.attempts += 1
         try:
-            out = self._run_program(batch, copy_outputs, engine=engine)
+            out = self._run_program(batch, copy_outputs)
         except DEGRADABLE_ERRORS:
             self.degraded_batches += 1
             out = self._run_opbyop(batch)
-        except Exception:
-            if engine is None and isinstance(
-                    self.session.engine,
-                    (PipelinedEngine, ProcessPoolEngine)):
-                # A pipelined or process-pool worker died mid-dispatch:
-                # the arena state is suspect but the compiled program is
-                # not -- retry the whole batch once on a serial engine
-                # before blaming a request.
-                if self._serial_fallback is None:
-                    self._serial_fallback = SerialEngine()
-                try:
-                    out = self._run_program(batch, copy_outputs,
-                                            engine=self._serial_fallback)
-                    self.engine_fallbacks += 1
-                except DEGRADABLE_ERRORS:
-                    self.engine_fallbacks += 1
-                    self.degraded_batches += 1
-                    out = self._run_opbyop(batch)
-            else:
-                raise
         self._check_output(batch, out)
         self._after_execute((batch,), t_start)
         return out
@@ -737,8 +703,7 @@ class BatchScheduler:
         The group's padded-length vectors select (and memoize, on the
         session) one :func:`encoder_wide_program`; sub-batch ``i`` binds
         ``R{i}.tokens`` and reads back ``R{i}.out_tokens``, so one
-        ``Session.run`` serves every sub-batch and a width-capable
-        engine executes them concurrently.  Any failure propagates to
+        ``Session.run`` serves every sub-batch.  Any failure propagates to
         the caller, which falls back to per-batch narrow dispatch --
         the wide path adds no recovery machinery of its own.
         """
@@ -1291,15 +1256,12 @@ class BatchScheduler:
             "retries": self.retries,
             "isolation_runs": self.isolation_runs,
             "degraded_batches": self.degraded_batches,
-            "engine_fallbacks": self.engine_fallbacks,
             "demux_recoveries": self.demux_recoveries,
             # wide-dispatch counters
             "wide_batches": self.wide_batches,
             "wide_dispatches": self.wide_dispatches,
             "wide_fallbacks": self.wide_fallbacks,
             "max_width_achieved": self.max_width_achieved,
-            "engine_max_inflight": self.session.engine.stats().get(
-                "max_inflight", 0),
             "shed_rejected": self.queue.rejected,
             "shed_expired": self.queue.expired_dropped,
             # SLO-aware serving counters

@@ -1,19 +1,12 @@
-"""Execution engines and in-place arena scheduling.
+"""The serial execution engine and in-place arena scheduling.
 
-The engine layer's contract: any step order respecting the plan's
-dependence edges (data + slab-reuse + in-place write-after-read) computes
-bit-identical results.  This suite pins that down three ways:
-
-* unit tests over the planner's new dependence structure
-  (``step_preds`` / ``step_succs`` / ``ready_steps``) and the in-place
-  allocator, including the regression that an element-wise node whose
-  input has a later live reader is NOT planned in place;
-* engine unit tests (resolution, stats, error propagation, pipelined
-  dispatch over fan-out graphs);
-* a hypothesis differential property: ``PipelinedEngine`` + in-place
-  plans stay bit-identical to ``SerialEngine`` + double-buffered plans
-  across random ragged batches, masked and unmasked, stack depths
-  1 / 2 / 4, with zero vector-backend fallbacks.
+* engine unit tests (resolution, stats, error propagation);
+* unit tests over the in-place allocator, including the regression that
+  an element-wise node whose input has a later live reader is NOT
+  planned in place;
+* a hypothesis differential property: in-place plans stay bit-identical
+  to double-buffered plans across random ragged batches, masked and
+  unmasked, stack depths 1 / 2 / 4, with zero vector-backend fallbacks.
 """
 
 import numpy as np
@@ -21,12 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.engine import (
-    ExecutionEngine,
-    PipelinedEngine,
-    SerialEngine,
-    get_engine,
-)
+from repro.core.engine import SerialEngine, get_engine
 from repro.core.executor import Executor
 from repro.core.planner import plan_program
 from repro.core.program import Program, ProgramError
@@ -63,28 +51,26 @@ def _bit_identical(a, b):
 class TestEngineResolution:
     def test_names_resolve(self):
         assert isinstance(get_engine("serial"), SerialEngine)
-        assert isinstance(get_engine("pipelined"), PipelinedEngine)
+        assert isinstance(get_engine("SERIAL"), SerialEngine)
         assert isinstance(get_engine(None), SerialEngine)
 
     def test_instance_passes_through(self):
-        engine = PipelinedEngine(max_workers=2)
+        engine = SerialEngine()
         assert get_engine(engine) is engine
 
     def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            get_engine("warp-drive")
+        for name in ("warp-drive", "pipelined", "process"):
+            with pytest.raises(ValueError):
+                get_engine(name)
         with pytest.raises(TypeError):
             get_engine(42)
 
-    def test_bad_worker_count_rejected(self):
-        with pytest.raises(ValueError):
-            PipelinedEngine(max_workers=0)
-
     def test_session_resolves_engine(self):
         assert Session(backend="vector").engine.name == "serial"
-        session = Session(backend="vector", engine="pipelined")
-        assert session.engine.name == "pipelined"
-        assert session.stats()["engine"]["engine"] == "pipelined"
+        session = Session(backend="vector", engine="serial")
+        assert session.stats()["engine"]["engine"] == "serial"
+        with pytest.raises(ValueError):
+            Session(backend="vector", engine="pipelined")
 
     def test_stats_accumulate_and_reset(self):
         engine = SerialEngine()
@@ -102,66 +88,21 @@ class TestEngineResolution:
         session.reset()
         assert engine.runs == 0 and engine.steps_dispatched == 0
 
-
-# ---------------------------------------------------------------------------
-# Planner: dependence edges (the engine contract)
-# ---------------------------------------------------------------------------
-
-
-def _chain_program(n_steps=3, size=8):
-    p = Program("chain")
-    prev = p.add_input("x", shape=(size,))
-    for i in range(n_steps):
-        (prev,) = p.add_host(
-            f"n{i}", lambda out, a: np.copyto(out, a), [prev],
-            output_shapes={f"v{i}": (size,)})
-    p.mark_output(f"v{n_steps - 1}")
-    return p
-
-
-class TestDependences:
-    def test_chain_data_edges_and_ready_set(self):
-        plan = plan_program(_chain_program(n_steps=3))
-        assert plan.ready_steps == (0,)
-        assert plan.step_preds[0] == ()
-        assert 0 in plan.step_preds[1]
-        assert 1 in plan.step_preds[2]
-        assert plan.step_succs[0] == (1,) or 1 in plan.step_succs[0]
-
-    def test_slab_reuse_adds_anti_dependence(self):
-        # v2 recycles v0's slab (ping-pong chain), so step 2 must wait for
-        # v0's producer AND its consumer -- not just its own data input.
-        plan = plan_program(_chain_program(n_steps=3))
-        assert plan.slab_of["v2"] == plan.slab_of["v0"]
-        assert plan.step_preds[2] == (0, 1)
-
-    def test_inplace_war_edge_on_sibling_reader(self):
-        # c = a + a runs in place over a; b also reads a but is NOT a data
-        # ancestor of c -- the plan must still order b before c.
-        p = Program("war")
+    def test_host_error_propagates(self):
+        p = Program("boom")
         x = p.add_input("x", shape=(4,))
-        (a,) = p.add_host("produce", lambda out, v: np.copyto(out, v), [x],
+        (a,) = p.add_host("ok", lambda out, v: np.copyto(out, v), [x],
                           output_shapes={"a": (4,)})
-        (b,) = p.add_host("observe", lambda out, v: np.copyto(out, v), [a],
-                          output_shapes={"b": (4,)})
-        c = add_node(p, a, a, name="c")
-        p.mark_output(b)
-        p.mark_output(c)
-        plain = plan_program(p)
-        assert plain.step_preds[2] == (0,)
-        inplace = plan_program(p, inplace=True)
-        assert inplace.inplace_of == {"c": "a"}
-        assert inplace.step_preds[2] == (0, 1)
 
-    def test_succs_are_transpose_of_preds(self):
-        program = build_encoder_program([5, 3], EncoderWeights.zeros(SMALL),
-                                        SMALL, masked=True)
-        plan = plan_program(program, inplace=True)
-        edges = {(p_, s) for s, ps in enumerate(plan.step_preds) for p_ in ps}
-        back = {(p_, s) for p_, ss in enumerate(plan.step_succs) for s in ss}
-        assert edges == back
-        assert plan.ready_steps == tuple(
-            s for s, ps in enumerate(plan.step_preds) if not ps)
+        def _explode(out, v):
+            raise RuntimeError("kaboom")
+
+        p.add_host("bad", _explode, [a], output_shapes={"b": (4,)})
+        p.mark_output("b")
+        session = Session(backend="vector",
+                          executor=Executor(backend="vector"))
+        with pytest.raises(RuntimeError, match="kaboom"):
+            session.run(p, {"x": np.ones(4, np.float32)})
 
 
 # ---------------------------------------------------------------------------
@@ -294,119 +235,14 @@ class TestInplacePlanning:
 
 
 # ---------------------------------------------------------------------------
-# Pipelined dispatch
-# ---------------------------------------------------------------------------
-
-
-def _diamond_program(width=4, size=64):
-    """One producer fanning out to ``width`` branches, merged pairwise."""
-    p = Program("diamond")
-    x = p.add_input("x", shape=(size,))
-    (root,) = p.add_host("root", lambda out, v: np.multiply(v, 2.0, out=out),
-                         [x], output_shapes={"root": (size,)})
-    branches = []
-    for i in range(width):
-        scale = float(i + 1)
-        (b,) = p.add_host(
-            f"branch{i}",
-            lambda out, v, s=scale: np.multiply(v, s, out=out),
-            [root], output_shapes={f"b{i}": (size,)})
-        branches.append(b)
-    acc = branches[0]
-    for i, b in enumerate(branches[1:]):
-        acc = add_node(p, acc, b, name=f"merge{i}")
-    p.mark_output(acc)
-    return p
-
-
-class TestPipelinedEngine:
-    def test_fanout_matches_serial(self):
-        p = _diamond_program(width=5)
-        rng = np.random.default_rng(0)
-        inputs = {"x": rng.standard_normal(64).astype(np.float32)}
-        serial = Session(backend="vector",
-                         executor=Executor(backend="vector")).run(p, inputs)
-        engine = PipelinedEngine(max_workers=4)
-        pipelined = Session(backend="vector", engine=engine, inplace=True,
-                            executor=Executor(backend="vector")).run(p, inputs)
-        out = [k for k in serial][0]
-        assert np.array_equal(serial[out], pipelined[out])
-        assert engine.runs == 1
-        assert engine.stats()["max_inflight"] >= 1
-
-    def test_repeated_runs_stay_identical(self):
-        p = _diamond_program(width=3)
-        session = Session(backend="vector", engine=PipelinedEngine(2),
-                          inplace=True, executor=Executor(backend="vector"))
-        rng = np.random.default_rng(1)
-        inputs = {"x": rng.standard_normal(64).astype(np.float32)}
-        first = session.run(p, inputs)
-        for _ in range(5):
-            again = session.run(p, inputs)
-            assert np.array_equal(first["merge1"], again["merge1"])
-
-    def test_host_error_propagates(self):
-        p = Program("boom")
-        x = p.add_input("x", shape=(4,))
-        (a,) = p.add_host("ok", lambda out, v: np.copyto(out, v), [x],
-                          output_shapes={"a": (4,)})
-
-        def _explode(out, v):
-            raise RuntimeError("kaboom")
-
-        p.add_host("bad", _explode, [a], output_shapes={"b": (4,)})
-        p.mark_output("b")
-        session = Session(backend="vector", engine=PipelinedEngine(2),
-                          executor=Executor(backend="vector"))
-        with pytest.raises(RuntimeError, match="kaboom"):
-            session.run(p, {"x": np.ones(4, np.float32)})
-
-    def test_needs_dependence_edges(self):
-        with pytest.raises(ValueError):
-            PipelinedEngine(2).execute([(1, lambda: None, (), None, None)],
-                                       None)
-
-    def test_session_close_releases_pool_and_stays_usable(self):
-        p = _diamond_program(width=3)
-        rng = np.random.default_rng(4)
-        inputs = {"x": rng.standard_normal(64).astype(np.float32)}
-        with Session(backend="vector", engine="pipelined",
-                     executor=Executor(backend="vector")) as session:
-            first = session.run(p, inputs)
-            assert session.engine._pool is not None
-        assert session.engine._pool is None  # closed on context exit
-        # The engine recreates its pool lazily: the session stays usable.
-        again = session.run(p, inputs)
-        assert np.array_equal(first["merge1"], again["merge1"])
-        session.close()
-        session.close()  # idempotent
-
-    def test_session_close_leaves_shared_engine_instance_alone(self):
-        # An engine passed as an INSTANCE may serve other sessions:
-        # closing one session must not tear down its pool.
-        engine = PipelinedEngine(max_workers=2)
-        p = _diamond_program(width=3)
-        inputs = {"x": np.ones(64, np.float32)}
-        with Session(backend="vector", engine=engine,
-                     executor=Executor(backend="vector")) as session:
-            session.run(p, inputs)
-        assert engine._pool is not None  # still alive for other sessions
-        other = Session(backend="vector", engine=engine,
-                        executor=Executor(backend="vector"))
-        other.run(p, inputs)  # shared engine still serves runs
-        engine.close()
-        assert engine._pool is None
-
-
-# ---------------------------------------------------------------------------
-# Differential property: pipelined + in-place == serial + double-buffered
+# Differential property: in-place == double-buffered
 # ---------------------------------------------------------------------------
 
 
 _WEIGHTS = EncoderWeights.random(SMALL, seed=11)
 _SERIAL = Session(backend="vector", executor=Executor(backend="vector"))
-_PIPELINED = Session(backend="vector", executor=Executor(backend="vector"),
-                     engine=PipelinedEngine(max_workers=3), inplace=True)
+_INPLACE = Session(backend="vector", executor=Executor(backend="vector"),
+                   inplace=True)
 
 
 class TestEngineDifferential:
@@ -415,17 +251,17 @@ class TestEngineDifferential:
                             min_size=1, max_size=4),
            masked=st.booleans(),
            n_layers=st.sampled_from([1, 2, 4]))
-    def test_pipelined_inplace_bit_identical_to_serial(self, lengths, masked,
-                                                       n_layers):
+    def test_inplace_bit_identical_to_double_buffered(self, lengths, masked,
+                                                      n_layers):
         hidden = _hidden(lengths, seed=sum(lengths) + n_layers)
         ref = run_encoder_stack_numeric(hidden, _WEIGHTS, SMALL,
                                         masked=masked, n_layers=n_layers,
                                         session=_SERIAL)
         got = run_encoder_stack_numeric(hidden, _WEIGHTS, SMALL,
                                         masked=masked, n_layers=n_layers,
-                                        session=_PIPELINED)
+                                        session=_INPLACE)
         assert _bit_identical(ref.hidden, got.hidden)
-        for session in (_SERIAL, _PIPELINED):
+        for session in (_SERIAL, _INPLACE):
             codegen = session.stats()["codegen"]
             assert codegen["fallbacks"] == 0, codegen["fallback_reasons"]
 
@@ -440,5 +276,5 @@ class TestEngineDifferential:
                     n_layers=n_layers, session=_SERIAL)
                 got = run_encoder_stack_numeric(
                     hidden, _WEIGHTS, SMALL, masked=masked,
-                    n_layers=n_layers, session=_PIPELINED)
+                    n_layers=n_layers, session=_INPLACE)
                 assert _bit_identical(ref.hidden, got.hidden)

@@ -214,8 +214,8 @@ class TestSchedulerPaddingAndValidation:
 
     def test_overlapped_drain_bit_identical_to_synchronous(self):
         # Pipelining demux of batch k with execution of batch k+1 must not
-        # change a single bit of any response, for serial and pipelined
-        # engines alike.
+        # change a single bit of any response, with double-buffered and
+        # in-place arenas alike.
         stream = _requests([3, 7, 5, 2, 9, 4, 6], seed=9)
         baseline = BatchScheduler(WEIGHTS, SMALL,
                                   session=Session(backend="vector"),
@@ -223,8 +223,8 @@ class TestSchedulerPaddingAndValidation:
                                   bucket_tolerance=2)
         ids = baseline.submit_many(stream)
         expected = baseline.drain()
-        for engine, inplace in (("serial", False), ("pipelined", True)):
-            session = Session(backend="vector", engine=engine,
+        for inplace in (False, True):
+            session = Session(backend="vector", engine="serial",
                               inplace=inplace)
             overlapped = BatchScheduler(WEIGHTS, SMALL, session=session,
                                         masked=True, max_batch_size=2,
